@@ -71,6 +71,33 @@ func allocsPerDecode(t *testing.T, dec ScratchDecoder, res *sim.Result, shots in
 	return out
 }
 
+// flaggedMultiDefectShots counts the shots that fire at least one of
+// flags and at least two of dets — the shots that take a decoder's
+// flagged branch (targeted searches over per-shot weights) rather than
+// its cached flagless trees or its no-defect early return.
+func flaggedMultiDefectShots(res *sim.Result, shots int, flags, dets []int) int {
+	n := 0
+	for s := 0; s < shots; s++ {
+		fired := false
+		for _, f := range flags {
+			if res.DetectorBit(f, s) {
+				fired = true
+				break
+			}
+		}
+		defects := 0
+		for _, d := range dets {
+			if res.DetectorBit(d, s) {
+				defects++
+			}
+		}
+		if fired && defects >= 2 {
+			n++
+		}
+	}
+	return n
+}
+
 func maxAllocs(counts []float64) float64 {
 	m := 0.0
 	for _, c := range counts {
@@ -105,6 +132,10 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The gate must reach the flagged branch, not pass for lack of it.
+	if n := flaggedMultiDefectShots(fres, shots, flagged.flagAll, flagged.verts); n == 0 {
+		t.Fatalf("flagged MWPM fixture has no shot with a fired flag and >= 2 defects")
+	}
 	if m := maxAllocs(allocsPerDecode(t, flagged, fres, shots)); m != 0 {
 		t.Errorf("flagged MWPM ([[30,8,3,3]]): %v allocs/op in steady state, want 0", m)
 	}
@@ -124,6 +155,9 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	rest, err := NewRestriction(cmodel, css.Z, 1e-3, true, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := flaggedMultiDefectShots(cres, shots, rest.flagAll, rest.detAll); n == 0 {
+		t.Fatalf("restriction fixture has no shot with a fired flag and >= 2 defects")
 	}
 	// The matching stage is allocation-free; only the residual-repair
 	// cold path (three matchings disagreeing) may allocate, so gate the

@@ -21,8 +21,14 @@ const weightScale = 1000.0
 // Edge weights are fixed for an entire run except under observed flags,
 // so the shortest-path trees of the flagless steady state are computed
 // once per source (lazily, under a per-source sync.Once) and shared
-// read-only by all workers; only flagged shots re-run Dijkstra, into
-// per-worker scratch.
+// read-only by all workers. A flagged shot shifts every edge by
+// Equation 9's |F|·wM, which changes which paths are shortest, so it
+// searches again into per-worker scratch — but each search is targeted
+// (dijkstraTo): the search from defect i stops once the later defects
+// and the boundary, the only vertices matching and the path walk read
+// from its row, are settled. Flagged weights and representatives are
+// read through the base tables plus an overlay holding only the
+// classes whose members touch an observed flag.
 type MWPM struct {
 	Basis css.Basis
 	// UseFlags selects the flag protocol; when false the decoder is the
@@ -104,6 +110,12 @@ func NewMWPM(model *dem.Model, basis css.Basis, pM float64, useFlags bool) (*MWP
 		case 2:
 			u, v = d.vertOf[cl.Dets[0]], d.vertOf[cl.Dets[1]]
 		default:
+			// Every matching-graph class therefore has 1 or 2 detectors,
+			// so Equation 9's (|σ|−1) exponent is exactly 1 and a flagged
+			// shot's weight for a class it does not re-select is
+			// baseWeight + |F|·wM with representative baseRep: DecodeWith
+			// computes those on demand instead of building a per-shot
+			// overlay over all classes.
 			return nil, fmt.Errorf("decoder: class with %d dets survived decomposition", len(cl.Dets))
 		}
 		ei := len(d.edges)
@@ -197,55 +209,48 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 		}
 		return correction, nil
 	}
-	// Per-shot class representatives and weights.
-	rep := d.baseRep
-	weight := d.baseWeight
+	// Per-shot class weights. Flagless shots read the base weights;
+	// flagged shots shift every class by |F|·wM (Equation 9 with the
+	// exponent 1 NewMWPM guarantees) and override the classes whose
+	// members touch an observed flag, which re-select their
+	// representative against the actual flag set.
+	w := edgeWeights{base: d.baseWeight}
 	if nFlags > 0 {
-		rep, weight = sc.ensureClassOverlay(len(d.classes))
-		copy(rep, d.baseRep)
-		wM := weightOf(d.pM)
-		for ci := range d.classes {
-			// Default: flagless representative at diff |F|; Equation 9
-			// gives weight |F|·wM + (|σ|−1)·(−log π).
-			exp := float64(len(d.classes[ci].Dets) - 1)
-			if exp < 1 {
-				exp = 1
-			}
-			weight[ci] = d.baseWeight[ci]*exp + float64(nFlags)*wM
-		}
-		// Classes with members touching an observed flag re-select their
-		// representative against the actual flag set.
 		for _, f := range sc.flags.Flags() {
 			for _, ci := range d.flagIndex[f] {
 				sc.adjusted.add(ci)
 			}
 		}
+		rep, weight := sc.ensureClassOverlay(len(d.classes))
 		for _, ci := range sc.adjusted.keys() {
 			r, p := d.classes[ci].Representative(&sc.flags, d.pM)
 			rep[ci] = r
 			weight[ci] = weightOf(p)
 		}
 		if d.DisableRenorm {
+			// Ablation: every class weighs its representative's own
+			// probability, so the weight overlay is filled in full.
 			for ci := range d.classes {
-				weight[ci] = weightOf(rep[ci].P)
+				p := d.baseRep[ci].P
+				if sc.adjusted.has(ci) {
+					p = rep[ci].P
+				}
+				weight[ci] = weightOf(p)
 			}
+			w = edgeWeights{base: weight}
+		} else {
+			w = edgeWeights{base: d.baseWeight, shift: float64(nFlags) * weightOf(d.pM), mark: sc.adjusted.marked, over: weight}
 		}
 	}
-	nv := len(d.adj)
 	if d.boundary < 0 && len(src)%2 != 0 {
 		return nil, fmt.Errorf("decoder: odd syndrome weight %d on a closed code", len(src))
 	}
 	// Shortest-path trees from each source: cached for the flagless
-	// steady state, per-shot Dijkstra into scratch under observed flags.
+	// steady state, targeted per-shot searches under observed flags.
 	k := len(src)
 	dist, prevEdge := sc.ensureTreeTables(k)
 	if nFlags > 0 {
-		sc.dij.ensure(k, nv)
-		for i, s := range src {
-			di, pi := sc.dij.row(i)
-			dijkstraInto(s, weight, d.edges, d.adj, di, pi, &sc.dij.heap)
-			dist[i], prevEdge[i] = di, pi
-		}
+		sc.targetedTrees(src, d.boundary, &w, d.edges, d.adj, dist, prevEdge)
 	} else {
 		for i, s := range src {
 			dist[i], prevEdge[i] = d.spt.tree(s)
@@ -301,7 +306,11 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 				return nil, fmt.Errorf("decoder: broken shortest-path tree")
 			}
 			e := d.edges[ei]
-			for _, o := range rep[e.class].Obs {
+			r := &d.baseRep[e.class]
+			if sc.adjusted.has(e.class) {
+				r = &sc.rep[e.class]
+			}
+			for _, o := range r.Obs {
 				correction[o] = !correction[o]
 			}
 			if e.u == cur {
@@ -343,6 +352,110 @@ func dijkstraInto(s int, weight []float64, edges []graphEdge, adj [][]int, dist 
 				pq.push(heapItem{nd, to})
 			}
 		}
+	}
+}
+
+// edgeWeights is a view of per-class edge weights: base[c] + shift for
+// every class c, except the classes marked in mark, which weigh over[c].
+// mark may be shorter than base (unmarked beyond its end). With a zero
+// shift and no marks it is base itself, exactly: x + 0 == x for every
+// positive weight.
+type edgeWeights struct {
+	base  []float64
+	shift float64
+	mark  []bool
+	over  []float64
+}
+
+func (w *edgeWeights) of(c int) float64 {
+	if c < len(w.mark) && w.mark[c] {
+		return w.over[c]
+	}
+	return w.base[c] + w.shift
+}
+
+// targetedTrees fills dist[i]/prev[i] for every source src[i] with a
+// targeted search into sc's Dijkstra rows. The targets of source i are
+// src[i+1:] plus the boundary vertex (when boundary >= 0): matching
+// reads dist[i] only at those vertices and the path walk follows
+// prev[i] only from them, so every other entry of a row is left
+// tentative and must not be read.
+func (sc *DecodeScratch) targetedTrees(src []int, boundary int, w *edgeWeights, edges []graphEdge, adj [][]int, dist [][]float64, prev [][]int) {
+	sc.dij.ensure(len(src), len(adj))
+	for i, s := range src {
+		di, pi := sc.dij.row(i)
+		dijkstraTo(s, src[i+1:], boundary, w, edges, adj, di, pi, &sc.dij)
+		dist[i], prev[i] = di, pi
+	}
+}
+
+// dijkstraTo is dijkstraInto stopped as soon as every target, and the
+// boundary vertex when boundary >= 0, is settled (popped at its final
+// distance). It is bit-identical to the full search on what it settles:
+//   - every weight is strictly positive (weightOf clamps p to at most
+//     0.5, so each weight is at least ln 2), so a settled vertex's
+//     dist and prev are final, and every vertex on its prev chain was
+//     settled before it;
+//   - the pops before the stop are exactly the first pops of the full
+//     search, so the heap breaks ties the same way.
+//
+// Targets are distinct and exclude the boundary (a repeat would only
+// keep the search running to the end). An unreachable target leaves the
+// search to run dry, as the full one does, with dist +Inf. Entries of
+// unsettled vertices are tentative.
+// ds supplies the heap and the target marks (all false between calls).
+func dijkstraTo(s int, targets []int, boundary int, w *edgeWeights, edges []graphEdge, adj [][]int, dist []float64, prev []int, ds *dijkstraScratch) {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prev[i] = -1
+	}
+	dist[s] = 0
+	want := ds.want
+	for _, t := range targets {
+		want[t] = true
+	}
+	left := len(targets)
+	if boundary >= 0 {
+		want[boundary] = true
+		left++
+	}
+	if left == 0 {
+		return
+	}
+	pq := &ds.heap
+	*pq = (*pq)[:0]
+	pq.push(heapItem{0, s})
+	for len(*pq) > 0 {
+		it := pq.pop()
+		if it.d > dist[it.v] {
+			continue
+		}
+		if want[it.v] {
+			want[it.v] = false
+			if left--; left == 0 {
+				return
+			}
+		}
+		for _, ei := range adj[it.v] {
+			e := edges[ei]
+			to := e.u
+			if to == it.v {
+				to = e.v
+			}
+			nd := it.d + w.of(e.class)
+			if nd < dist[to] {
+				dist[to] = nd
+				prev[to] = ei
+				pq.push(heapItem{nd, to})
+			}
+		}
+	}
+	// The heap ran dry with unreachable targets still marked.
+	for _, t := range targets {
+		want[t] = false
+	}
+	if boundary >= 0 {
+		want[boundary] = false
 	}
 }
 

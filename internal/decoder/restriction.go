@@ -18,8 +18,9 @@ var latticePairs = [3][2]int{{0, 1}, {0, 2}, {1, 2}}
 // and lifts the remaining matched edges to Pauli-frame corrections.
 //
 // Like MWPM, it caches the flagless shortest-path trees of each
-// restricted lattice (weights are fixed per run unless flags fire) and
-// draws all per-shot state from a caller-owned DecodeScratch.
+// restricted lattice (weights are fixed per run unless flags fire),
+// runs targeted searches (dijkstraTo) on flagged shots, and draws all
+// per-shot state from a caller-owned DecodeScratch.
 type Restriction struct {
 	Basis css.Basis
 	// UseFlags enables flag-conditioned representative selection in the
@@ -246,13 +247,8 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 		k := len(src)
 		dists, prevs := sc.ensureTreeTables(k)
 		if nFlags > 0 {
-			nv := len(d.latAdj[li])
-			sc.dij.ensure(k, nv)
-			for i, s := range src {
-				di, pi := sc.dij.row(i)
-				dijkstraInto(s, weight, d.latEdges[li], d.latAdj[li], di, pi, &sc.dij.heap)
-				dists[i], prevs[i] = di, pi
-			}
+			w := edgeWeights{base: weight}
+			sc.targetedTrees(src, -1, &w, d.latEdges[li], d.latAdj[li], dists, prevs)
 		} else {
 			for i, s := range src {
 				dists[i], prevs[i] = d.spt[li].tree(s)

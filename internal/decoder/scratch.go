@@ -104,6 +104,9 @@ func (s *markSet) add(k int) {
 	s.list = append(s.list, k)
 }
 
+// has reports whether key k is marked.
+func (s *markSet) has(k int) bool { return k < len(s.marked) && s.marked[k] }
+
 // keys returns the marked keys in insertion order; the slice aliases the
 // set and is valid until the next add or reset.
 func (s *markSet) keys() []int { return s.list }
@@ -117,6 +120,8 @@ func (s *markSet) reset() {
 }
 
 // ensureClassOverlay sizes the per-shot representative/weight overlays.
+// Entries are not cleared: a caller reads back only the classes it
+// wrote this shot.
 func (sc *DecodeScratch) ensureClassOverlay(n int) ([]dem.ProjEvent, []float64) {
 	if cap(sc.rep) < n {
 		sc.rep = make([]dem.ProjEvent, n)
@@ -129,11 +134,15 @@ func (sc *DecodeScratch) ensureClassOverlay(n int) ([]dem.ProjEvent, []float64) 
 	return sc.rep, sc.weight
 }
 
-// dijkstraScratch holds the per-source rows used when per-shot weights
-// differ from the cached base weights.
+// dijkstraScratch holds the per-source rows of the targeted searches
+// (dijkstraTo) run when per-shot weights differ from the cached base
+// weights. A row is exact only at the vertices its search settled —
+// its targets and every vertex on their prev chains; all other entries
+// are tentative leftovers of the stopped search and are never read.
 type dijkstraScratch struct {
 	dist []float64 // k rows × nv, flattened
 	prev []int
+	want []bool // per-vertex target marks of the running search; all false between searches
 	heap floatHeap
 	rows int
 	nv   int
@@ -148,6 +157,10 @@ func (d *dijkstraScratch) ensure(k, nv int) {
 	}
 	d.dist = d.dist[:k*nv]
 	d.prev = d.prev[:k*nv]
+	if cap(d.want) < nv {
+		d.want = make([]bool, nv)
+	}
+	d.want = d.want[:nv]
 	d.rows, d.nv = k, nv
 }
 
