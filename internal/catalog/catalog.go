@@ -8,14 +8,14 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
-
-	"github.com/fpn/flagproxy/internal/seedmix"
+	"runtime"
 	"sort"
 	"sync"
 
 	"github.com/fpn/flagproxy/internal/color"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/group"
+	"github.com/fpn/flagproxy/internal/seedmix"
 	"github.com/fpn/flagproxy/internal/surface"
 	"github.com/fpn/flagproxy/internal/tiling"
 )
@@ -164,10 +164,15 @@ var (
 )
 
 // Standard returns the cached standard catalogue across all subfamilies
-// (deterministic: fixed seeds and budgets).
+// (deterministic: fixed seeds and budgets). The subfamilies are built
+// concurrently, at most GOMAXPROCS at a time: each search seeds its own
+// RNG and shares no mutable state with the others, and the results are
+// concatenated in the fixed subfamily order, so the catalogue does not
+// depend on scheduling.
 func Standard() []Entry {
 	stdOnce.Do(func() {
 		opt := DefaultOptions()
+		var builds []func() []Entry
 		for _, rs := range SurfaceSubfamilies {
 			o := opt
 			if rs == [2]int{4, 5} {
@@ -175,7 +180,7 @@ func Standard() []Entry {
 				// (2,4,5)-generated PGL(2,11) map has 660 edges.
 				o.MaxN = 660
 			}
-			stdCat = append(stdCat, SurfaceCodes(rs[0], rs[1], o)...)
+			builds = append(builds, func() []Entry { return SurfaceCodes(rs[0], rs[1], o) })
 		}
 		for _, rs := range ColorSubfamilies {
 			o := opt
@@ -185,7 +190,23 @@ func Standard() []Entry {
 				// {4,10} instances live on non-orientable surfaces).
 				o.MaxN = 720
 			}
-			stdCat = append(stdCat, ColorCodes(rs[0], rs[1], o)...)
+			builds = append(builds, func() []Entry { return ColorCodes(rs[0], rs[1], o) })
+		}
+		parts := make([][]Entry, len(builds))
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for i, build := range builds {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				parts[i] = build()
+				<-sem
+			}()
+		}
+		wg.Wait()
+		for _, p := range parts {
+			stdCat = append(stdCat, p...)
 		}
 	})
 	return stdCat

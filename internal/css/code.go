@@ -114,33 +114,21 @@ func (c *Code) ChecksOf(b Basis) []int {
 }
 
 // logicalBasis returns k independent representatives of
-// ker(hKer) / rowspace(hMod).
+// ker(hKer) / rowspace(hMod): the nullspace vectors, in order, that are
+// independent of the stabilizer rows and of the logicals chosen before
+// them.
 func logicalBasis(hKer, hMod *gf2.Matrix, k int) []gf2.Vec {
-	ns := gf2.NullspaceBasis(hKer)
-	mod := gf2.RowReduce(hMod)
+	span := gf2.NewBasis(hMod.Cols())
+	for i := 0; i < hMod.Rows(); i++ {
+		span.Add(hMod.Row(i))
+	}
 	var logicals []gf2.Vec
-	// Maintain an echelon of rowspace(hMod) + chosen logicals to test
-	// independence modulo the stabilizer.
-	span := hMod.Clone()
-	for _, v := range ns {
-		if mod.InRowSpace(v) {
-			continue
-		}
-		// Is v independent of span (stabilizer + already chosen)?
-		spanEch := gf2.RowReduce(span)
-		if spanEch.InRowSpace(v) {
-			continue
-		}
-		logicals = append(logicals, v)
-		// Rebuild span with the new row appended.
-		rows := make([]gf2.Vec, 0, span.Rows()+1)
-		for i := 0; i < span.Rows(); i++ {
-			rows = append(rows, span.Row(i))
-		}
-		rows = append(rows, v)
-		span = gf2.MatrixFromRows(rows, hMod.Cols())
+	for _, v := range gf2.NullspaceBasis(hKer) {
 		if len(logicals) == k {
 			break
+		}
+		if span.Add(v) {
+			logicals = append(logicals, v)
 		}
 	}
 	return logicals

@@ -36,10 +36,16 @@ func MinLogicalExact(hKer, hMod *gf2.Matrix, wmax int, maxCombos int64) Distance
 		if budget++; budget > maxCombos {
 			return true
 		}
-		if remaining == 0 {
-			if syn.IsZero() {
-				v := gf2.VecFromSupport(n, support)
-				if !mod.InRowSpace(v) {
+		if remaining == 1 {
+			// The leaves, unrolled: each still costs one budget step, but
+			// syn + row(q) = 0 is tested as an equality instead of an
+			// XOR in and out.
+			for q := start; q < n; q++ {
+				if budget++; budget > maxCombos {
+					return true
+				}
+				if syn.Equal(kerT.Row(q)) &&
+					!mod.InRowSpace(gf2.VecFromSupport(n, append(support, q))) {
 					found = true
 					return true
 				}

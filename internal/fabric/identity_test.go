@@ -191,8 +191,10 @@ func TestKilledWorkerMidSweep(t *testing.T) {
 
 // TestTornStreamsMergeIdentically: a transport that truncates every
 // second completion body forces the coordinator down the torn-stream
-// rejection path and the worker down the resend path; the merged result
-// must not move.
+// rejection path and the workers down the resend path; the merged
+// result must not move. Both workers share the transport, so the point's
+// ten completions tear at least five times however the scheduler splits
+// the shards between them.
 func TestTornStreamsMergeIdentically(t *testing.T) {
 	cfg := baseConfig(rotated3(t))
 	golden, err := experiment.RunContext(context.Background(), cfg)
@@ -200,11 +202,8 @@ func TestTornStreamsMergeIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault := &chaos.Fabric{Plan: chaos.Plan{Seed: 7, Name: "torn-completions"}, TearEvery: 2}
-	res := runFabric(t, cfg, 2, fabric.Options{}, func(i int) fabric.WorkerOptions {
-		if i == 0 {
-			return fabric.WorkerOptions{Client: &http.Client{Transport: fault}}
-		}
-		return fabric.WorkerOptions{}
+	res := runFabric(t, cfg, 2, fabric.Options{}, func(int) fabric.WorkerOptions {
+		return fabric.WorkerOptions{Client: &http.Client{Transport: fault}}
 	})
 	if fault.Torn.Load() == 0 {
 		t.Error("fault plan tore no streams; the test is vacuous")

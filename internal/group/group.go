@@ -31,19 +31,25 @@ func Generate(name string, gens []Perm, limit int) (*Group, error) {
 	g.Elements = append(g.Elements, id)
 	g.index[id.Key()] = 0
 	frontier := []Perm{id}
+	// prod and key are scratch: only a new element is copied out.
+	prod := make(Perm, deg)
+	var key []byte
 	for len(frontier) > 0 {
 		var next []Perm
 		for _, e := range frontier {
 			for _, gen := range gens {
-				prod := gen.Mul(e)
-				k := prod.Key()
-				if _, ok := g.index[k]; !ok {
+				for i, x := range e {
+					prod[i] = gen[x]
+				}
+				key = prod.appendKey(key[:0])
+				if _, ok := g.index[string(key)]; !ok {
 					if len(g.Elements) >= limit {
 						return nil, fmt.Errorf("group %s: exceeded limit %d", name, limit)
 					}
-					g.index[k] = len(g.Elements)
-					g.Elements = append(g.Elements, prod)
-					next = append(next, prod)
+					g.index[string(key)] = len(g.Elements)
+					elem := append(Perm(nil), prod...)
+					g.Elements = append(g.Elements, elem)
+					next = append(next, elem)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -248,5 +249,64 @@ func TestAffineGroups(t *testing.T) {
 func TestAffineRejectsTiny(t *testing.T) {
 	if _, err := Affine(2); err == nil {
 		t.Fatal("Affine(2) should be rejected")
+	}
+}
+
+// decodeKey inverts Perm.Key: a uvarint stream back to the images.
+func decodeKey(t *testing.T, k string) Perm {
+	t.Helper()
+	b := []byte(k)
+	var p Perm
+	for len(b) > 0 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			t.Fatalf("key %q is not a uvarint stream", k)
+		}
+		p = append(p, int(v))
+		b = b[n:]
+	}
+	return p
+}
+
+func TestPermKeyInjective(t *testing.T) {
+	var perms []Perm
+	// Every permutation of degree 0..5: different lengths share prefixes.
+	var rec func(p Perm, used []bool, deg int)
+	rec = func(p Perm, used []bool, deg int) {
+		if len(p) == deg {
+			perms = append(perms, append(Perm(nil), p...))
+			return
+		}
+		for v := 0; v < deg; v++ {
+			if !used[v] {
+				used[v] = true
+				rec(append(p, v), used, deg)
+				used[v] = false
+			}
+		}
+	}
+	for deg := 0; deg <= 5; deg++ {
+		rec(nil, make([]bool, deg), deg)
+	}
+	// Large degrees: images at and past 128, where a uvarint grows a
+	// second byte, and 256, where a one-byte encoding would wrap.
+	for _, deg := range []int{127, 128, 129, 255, 256, 257, 300, 20000} {
+		perms = append(perms, Identity(deg))
+		for _, sw := range [][2]int{{0, deg - 1}, {1, deg / 2}, {deg - 2, deg - 1}} {
+			p := Identity(deg)
+			p[sw[0]], p[sw[1]] = p[sw[1]], p[sw[0]]
+			perms = append(perms, p)
+		}
+	}
+	seen := map[string]int{}
+	for i, p := range perms {
+		k := p.Key()
+		if j, dup := seen[k]; dup {
+			t.Fatalf("perms %v and %v share key %q", perms[j], p, k)
+		}
+		seen[k] = i
+		if got := decodeKey(t, k); !got.Equal(p) {
+			t.Fatalf("key of %v decodes to %v", p, got)
+		}
 	}
 }

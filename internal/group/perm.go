@@ -8,9 +8,8 @@
 package group
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Perm is a permutation of {0..n-1}; p[i] is the image of i.
@@ -149,15 +148,19 @@ func (p Perm) AllCyclesLen(l int) bool {
 	return true
 }
 
-// Key returns a compact string key for map storage.
-func (p Perm) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(p) * 3)
+// Key returns a compact string key for map storage: the images p[0],
+// p[1], … each written as an unsigned varint (encoding/binary's
+// uvarint). A uvarint is a prefix code, so the concatenation decodes
+// uniquely and distinct permutations — of any degree, including
+// different degrees — get distinct keys.
+func (p Perm) Key() string { return string(p.appendKey(make([]byte, 0, len(p)))) }
+
+// appendKey appends p's Key bytes to dst.
+func (p Perm) appendKey(dst []byte) []byte {
 	for _, v := range p {
-		sb.WriteString(strconv.Itoa(v))
-		sb.WriteByte(',')
+		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	return sb.String()
+	return dst
 }
 
 // Pow returns p raised to the k-th power (k may be negative).

@@ -48,13 +48,33 @@ func FromMap(m *tiling.Map, name, family string) (*css.Code, error) {
 //
 // Method: a cycle c is non-trivial iff λ·c = 1 for some λ in the
 // orthogonal complement of the face space, i.e. λ ∈ ker(H_Z). For each
-// basis functional λ the shortest λ-odd cycle is found exactly as the
+// functional λ the shortest λ-odd cycle is found exactly as the
 // shortest path between the two lifts of a vertex in the λ-signed double
 // cover of the graph.
+//
+// Only λ modulo vertex coboundaries matters: a vertex star meets every
+// closed walk an even number of times, so adding one to λ never changes
+// which closed walks are λ-odd. The search therefore runs over the
+// nullspace vectors that are independent of the vertex stars — 2g of
+// them, spanning H¹ — instead of all V+2g−1; every non-trivial cycle is
+// odd under one of them, so the minimum is the same.
 func ShortestNontrivialCycle(m *tiling.Map) int {
 	nE := m.E()
 	hz := gf2.MatrixFromSupports(m.F(), nE, m.FaceEdges())
-	lambdas := gf2.NullspaceBasis(hz)
+	cob := gf2.NewBasis(nE)
+	for _, edges := range m.VertexEdges() {
+		star := gf2.NewVec(nE)
+		for _, e := range edges {
+			star.Flip(e) // a loop meets its vertex twice and cancels
+		}
+		cob.Add(star)
+	}
+	var lambdas []gf2.Vec
+	for _, lambda := range gf2.NullspaceBasis(hz) {
+		if cob.Add(lambda) {
+			lambdas = append(lambdas, lambda)
+		}
+	}
 	eps := m.EdgeEndpoints()
 	nV := m.V()
 	// Adjacency: per vertex, list of (neighbor, edge id).
