@@ -7,16 +7,17 @@
 // the new complete state, never a torn write: SIGKILL at any instant
 // loses at most the blocks committed since the last Put.
 //
-// Records are framed with a schema version and a CRC32-C checksum, so
-// the store distinguishes the one tolerable failure mode — a torn
-// final line from an interrupted foreign writer or a filesystem-level
-// truncation — from mid-file corruption (bit-rot, manual editing, a
-// hostile writer). A torn tail is dropped and reported via TornTail;
-// anything else surfaces as a *CorruptRecordError with the offending
-// line number, and the whole file is quarantined to a ".corrupt"
-// sidecar so the evidence survives while no resume is ever silently
-// recomputed over damaged state. Pre-CRC (version-1) files — bare
-// Record JSON per line — still load via the version probe.
+// Records are internal/frame lines at schema version 2 (CRC32-C over
+// each record), so the store distinguishes the one tolerable failure
+// mode — a torn final line from an interrupted foreign writer or a
+// filesystem-level truncation — from mid-file corruption (bit-rot,
+// manual editing, a hostile writer). A torn tail is dropped and
+// reported via TornTail; anything else surfaces as a
+// *CorruptRecordError with the offending line number, and the whole
+// file is quarantined to a ".corrupt" sidecar so the evidence survives
+// while no resume is ever silently recomputed over damaged state.
+// Pre-CRC (version-1) files — bare Record JSON per line — are refused
+// the same way, with a reason that says to re-run the sweep.
 //
 // The format is deliberately engine-agnostic: records carry only the
 // block-aligned committed prefix (blocks, shots, errors) plus the
@@ -29,28 +30,24 @@ package checkpoint
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // FileName is the store's file inside its directory.
 const FileName = "sweep.jsonl"
 
-// Version is the current record-frame schema generation. Version 1 is
-// the pre-CRC format (a bare Record JSON object per line); version 2
-// wraps each record in a {"v","crc","rec"} frame whose crc field is
-// CRC32-C over the exact rec bytes.
+// Version is the frame schema generation of store and latency-log
+// lines. Version 1 was the pre-CRC format (a bare Record JSON object
+// per line), which no longer loads.
 const Version = 2
-
-// castagnoli is the CRC32-C polynomial table shared by every frame.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one sweep point's committed prefix.
 type Record struct {
@@ -67,13 +64,6 @@ type Record struct {
 	EarlyStopped bool `json:"early_stopped,omitempty"`
 	// Done marks the point finished: resuming skips it entirely.
 	Done bool `json:"done,omitempty"`
-}
-
-// frame is the on-disk envelope of one version-2 record line.
-type frame struct {
-	V   int             `json:"v"`
-	CRC uint32          `json:"crc"` // CRC32-C over the raw Rec bytes
-	Rec json.RawMessage `json:"rec"`
 }
 
 // metaPayload is the frame payload of a meta line: sweep-wide key/value
@@ -184,7 +174,10 @@ func OpenOptions(dir string, opt Options) (*Store, error) {
 		attempts: attempts, backoff: backoff, sleep: sleep,
 		recs: map[string]Record{}, meta: map[string]string{},
 	}
-	if err := s.load(); err != nil {
+	// Loading is the pre-flush merge into an empty store.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.mergeDiskLocked(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -205,71 +198,37 @@ type parsedFile struct {
 // *CorruptRecordError.
 func (s *Store) parse(data []byte) (parsedFile, error) {
 	pf := parsedFile{meta: map[string]string{}}
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed file ends with a newline, so the final split element
-	// is empty; a non-empty final element is a torn-tail candidate.
-	tornCandidate := len(data) > 0 && len(lines[len(lines)-1]) > 0
-	for i, line := range lines {
-		last := i == len(lines)-1
-		if len(line) == 0 {
-			if last {
-				continue // the terminating newline of a healthy file
-			}
-			return pf, s.quarantine(data, i+1, "empty line inside the record stream")
-		}
-		rec, meta, err := decodeLine(line)
-		if err != nil {
-			if last && tornCandidate {
-				// The one tolerable failure: the file ends mid-record
-				// with no trailing newline. The fragment is at most the
-				// newest Put, which a resume recomputes anyway.
-				pf.torn = true
-				continue
-			}
-			return pf, s.quarantine(data, i+1, err.Error())
-		}
-		if meta != nil {
+	torn, err := frame.ReadLog(Version, data, func(rec json.RawMessage) error {
+		var mp metaPayload
+		if json.Unmarshal(rec, &mp) == nil && mp.Meta != nil {
 			// A meta line: merge the annotations (later lines win per
 			// key, exactly like duplicate records).
-			for k, v := range meta {
+			for k, v := range mp.Meta {
 				pf.meta[k] = v
 			}
-			continue
-		}
-		pf.recs = append(pf.recs, rec)
-	}
-	return pf, nil
-}
-
-// load populates a fresh store from the file. Duplicate keys (two
-// processes' worth of concatenated records, replayed lines) resolve to
-// the more-advanced record regardless of line order, so loading is
-// order-independent exactly like the pre-flush merge.
-func (s *Store) load() error {
-	data, err := s.fs.ReadFile(s.path)
-	if err != nil {
-		if s.fs.IsNotExist(err) {
 			return nil
 		}
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	pf, err := s.parse(data)
-	if err != nil {
-		return err
-	}
-	s.torn = pf.torn
-	for k, v := range pf.meta {
-		s.meta[k] = v
-	}
-	for _, rec := range pf.recs {
-		if prev, seen := s.recs[rec.Key]; seen {
-			s.recs[rec.Key] = preferRecord(prev, rec)
-			continue
+		var r Record
+		if err := json.Unmarshal(rec, &r); err != nil {
+			return fmt.Errorf("bad record inside a checksummed frame: %v", err)
 		}
-		s.order = append(s.order, rec.Key)
-		s.recs[rec.Key] = rec
+		if r.Key == "" {
+			return errors.New("record has an empty key")
+		}
+		pf.recs = append(pf.recs, r)
+		return nil
+	})
+	var le *frame.LineError
+	if errors.As(err, &le) {
+		reason := le.Err.Error()
+		var ve *frame.VersionError
+		if errors.As(le.Err, &ve) && ve.Got < Version {
+			reason = "pre-v2 ledger (written before CRC framing); re-run the sweep"
+		}
+		return pf, s.quarantine(data, le.Line, reason)
 	}
-	return nil
+	pf.torn = torn
+	return pf, nil
 }
 
 // preferRecord picks the more-advanced of two records for one key.
@@ -291,12 +250,15 @@ func preferRecord(ours, theirs Record) Record {
 	return ours
 }
 
-// mergeDiskLocked folds the current on-disk file back into memory
-// before a rewrite, so a flush never erases progress another process
-// published since our last read. A torn tail is tolerated exactly as at
-// load; mid-file corruption quarantines the file and aborts the flush
-// with a *CorruptRecordError (non-retryable — overwriting damaged state
-// would destroy the evidence the sidecar just preserved).
+// mergeDiskLocked folds the current on-disk file into memory: at Open
+// it loads the store, and before every rewrite it keeps a flush from
+// erasing progress another process published since our last read.
+// Duplicate keys (two processes' worth of concatenated records,
+// replayed lines) resolve to the more-advanced record regardless of
+// line order. A torn tail is dropped and reported via TornTail;
+// mid-file corruption quarantines the file and fails the open or the
+// flush with a *CorruptRecordError (non-retryable — overwriting damaged
+// state would destroy the evidence the sidecar just preserved).
 func (s *Store) mergeDiskLocked() error {
 	data, err := s.fs.ReadFile(s.path)
 	if err != nil {
@@ -350,81 +312,6 @@ func (s *Store) quarantine(data []byte, line int, reason string) error {
 		sidecar = ""
 	}
 	return &CorruptRecordError{Path: s.path, Line: line, Reason: reason, Sidecar: sidecar}
-}
-
-// decodeLine parses one line of either schema generation. Exactly one
-// of the returns is populated: a point Record, or (for a v2 meta line)
-// the annotation map.
-func decodeLine(line []byte) (Record, map[string]string, error) {
-	var probe struct {
-		V int `json:"v"`
-	}
-	if err := json.Unmarshal(line, &probe); err != nil {
-		return Record{}, nil, fmt.Errorf("not a JSON record: %v", err)
-	}
-	switch probe.V {
-	case 0:
-		// Legacy version 1: a bare Record object (no frame, no CRC).
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return Record{}, nil, fmt.Errorf("bad v1 record: %v", err)
-		}
-		if rec.Key == "" {
-			return Record{}, nil, fmt.Errorf("v1 record has an empty key")
-		}
-		return rec, nil, nil
-	case Version:
-		var fr frame
-		if err := json.Unmarshal(line, &fr); err != nil {
-			return Record{}, nil, fmt.Errorf("bad v%d frame: %v", Version, err)
-		}
-		if got := crc32.Checksum(fr.Rec, castagnoli); got != fr.CRC {
-			return Record{}, nil, fmt.Errorf("CRC32-C mismatch: stored %08x, computed %08x (bit rot?)", fr.CRC, got)
-		}
-		var mp metaPayload
-		if err := json.Unmarshal(fr.Rec, &mp); err == nil && mp.Meta != nil {
-			return Record{}, mp.Meta, nil
-		}
-		var rec Record
-		if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-			return Record{}, nil, fmt.Errorf("bad record inside a checksummed frame: %v", err)
-		}
-		if rec.Key == "" {
-			return Record{}, nil, fmt.Errorf("record has an empty key")
-		}
-		return rec, nil, nil
-	default:
-		return Record{}, nil, fmt.Errorf("unsupported record version %d (this binary writes v%d)", probe.V, Version)
-	}
-}
-
-// encodeLine frames rec with the current schema version and its CRC32-C.
-func encodeLine(rec Record) ([]byte, error) {
-	recBytes, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return frameLine(recBytes)
-}
-
-// encodeMetaLine frames the annotation map as one checksummed meta line.
-// json.Marshal sorts map keys, so the bytes are deterministic.
-func encodeMetaLine(meta map[string]string) ([]byte, error) {
-	recBytes, err := json.Marshal(metaPayload{Meta: meta})
-	if err != nil {
-		return nil, err
-	}
-	return frameLine(recBytes)
-}
-
-// frameLine wraps a payload in the {"v","crc","rec"} envelope.
-func frameLine(recBytes []byte) ([]byte, error) {
-	fr := frame{V: Version, CRC: crc32.Checksum(recBytes, castagnoli), Rec: recBytes}
-	out, err := json.Marshal(fr)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // TornTail reports whether the load dropped a trailing partial record —
@@ -538,22 +425,13 @@ func (s *Store) flushLocked() error {
 	defer func() { _ = s.fs.Remove(tmp.Name()) }() // no-op after a successful rename
 	w := bufio.NewWriter(tmp)
 	if len(s.meta) > 0 {
-		line, err := encodeMetaLine(s.meta)
-		if err == nil {
-			_, err = w.Write(line)
-		}
-		if err != nil {
+		if err := frame.Write(w, Version, metaPayload{Meta: s.meta}); err != nil {
 			_ = tmp.Close() // already failing; the meta write error wins
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
 	for _, key := range s.order {
-		line, err := encodeLine(s.recs[key])
-		if err != nil {
-			_ = tmp.Close() // already failing; the encode error wins
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		if _, err := w.Write(line); err != nil {
+		if err := frame.Write(w, Version, s.recs[key]); err != nil {
 			_ = tmp.Close() // already failing; the write error wins
 			return fmt.Errorf("checkpoint: %w", err)
 		}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -87,41 +89,32 @@ func writeStore(t *testing.T, dir, content string) {
 // v2Line frames a record exactly as the store writes it.
 func v2Line(t *testing.T, rec Record) string {
 	t.Helper()
-	b, err := encodeLine(rec)
+	b, err := frame.Encode(Version, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
 }
 
-// Legacy (pre-CRC) files — bare Record JSON per line — must still load
-// via the version probe, so old sweeps resume under the new binary.
+// Legacy (pre-CRC) files — bare Record JSON per line — no longer load:
+// they fail like any unsupported version, with a reason that tells the
+// operator to re-run, and the file is quarantined.
 func TestLoadsLegacyV1Records(t *testing.T) {
 	dir := t.TempDir()
-	writeStore(t, dir, `{"key":"old-a","blocks":4,"shots":256,"errors":1}
+	content := `{"key":"old-a","blocks":4,"shots":256,"errors":1}
 {"key":"old-b","blocks":2,"shots":128,"errors":0,"done":true}
-`)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+`
+	writeStore(t, dir, content)
+	_, err := Open(dir)
+	var ce *CorruptRecordError
+	if !errors.As(err, &ce) {
+		t.Fatalf("pre-v2 ledger loaded: %v", err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("loaded %d v1 records, want 2", s.Len())
+	if ce.Line != 1 || ce.Reason != "pre-v2 ledger (written before CRC framing); re-run the sweep" {
+		t.Errorf("unexpected report: line=%d reason=%q", ce.Line, ce.Reason)
 	}
-	if r, ok := s.Lookup("old-b"); !ok || !r.Done {
-		t.Fatalf("v1 record mangled: %+v (ok=%v)", r, ok)
-	}
-	// A Put rewrites the whole file in the current format; reloading
-	// must keep both records.
-	if err := s.Put(Record{Key: "new", Blocks: 1, Shots: 64}); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 3 {
-		t.Fatalf("v1→v2 rewrite lost records: %d, want 3", s2.Len())
+	if sidecar, err := os.ReadFile(ce.Sidecar); err != nil || string(sidecar) != content {
+		t.Errorf("pre-v2 ledger not quarantined byte-for-byte: %v", err)
 	}
 }
 

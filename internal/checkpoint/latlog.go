@@ -1,19 +1,15 @@
 // Latency log: an append-only JSONL sink for the online decode
-// service's per-window latency samples, CRC32-C framed with the same
-// envelope as the checkpoint store. Appends are O_APPEND writes of one
-// complete line, so a crash can damage at most the final record; the
-// reader tolerates exactly that — a trailing newline-less fragment —
-// and refuses anything else, mirroring the store's torn-tail contract.
+// service's per-window latency samples, one internal/frame line per
+// record, read back with the store's torn-tail rule (frame.ReadLog).
 package checkpoint
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // LatencyRec is one decoded window's latency sample.
@@ -43,11 +39,7 @@ func OpenLatencyLog(path string) (*LatencyLog, error) {
 
 // Append writes one framed record.
 func (l *LatencyLog) Append(rec LatencyRec) error {
-	recBytes, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line, err := frameLine(recBytes)
+	line, err := frame.Encode(Version, rec)
 	if err != nil {
 		return err
 	}
@@ -66,46 +58,24 @@ func (l *LatencyLog) Close() error {
 
 // ReadLatencies loads every record from the log at path. A trailing
 // newline-less fragment — the expected artifact of a writer killed
-// mid-append — is dropped and reported via tornTail; any other damage
-// (bad JSON, CRC mismatch, wrong version) is an error naming the line.
+// mid-append — is dropped and reported via tornTail, unless it decodes
+// with a valid CRC, in which case it is kept; any other damage (bad
+// JSON, CRC mismatch, wrong version) is an error naming the line.
 func ReadLatencies(path string) (recs []LatencyRec, tornTail bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
 	}
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			data = data[:i+1]
-		} else {
-			data = nil
+	tornTail, err = frame.ReadLog(Version, data, func(rec json.RawMessage) error {
+		var r LatencyRec
+		if err := json.Unmarshal(rec, &r); err != nil {
+			return fmt.Errorf("bad record: %v", err)
 		}
-		tornTail = true
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var fr frame
-		if err := json.Unmarshal(raw, &fr); err != nil {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: %v", path, line, err)
-		}
-		if fr.V != Version {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: unsupported version %d", path, line, fr.V)
-		}
-		if got := crc32.Checksum(fr.Rec, castagnoli); got != fr.CRC {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: CRC32-C mismatch (stored %08x, computed %08x)", path, line, fr.CRC, got)
-		}
-		var rec LatencyRec
-		if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: bad record: %v", path, line, err)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, tornTail, fmt.Errorf("checkpoint: latency log %s: %v", path, err)
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("checkpoint: latency log %s %w", path, err)
 	}
 	return recs, tornTail, nil
 }

@@ -127,3 +127,53 @@ func TestLatencyLogRefusesMidFileDamage(t *testing.T) {
 		t.Fatalf("mid-file damage not refused: %v", err)
 	}
 }
+
+// One torn-tail rule for both ledgers: a final newline-less line that
+// decodes with a valid CRC is a complete record missing only its
+// newline, so it is kept and no torn tail is reported.
+func TestValidFinalFragmentIsKept(t *testing.T) {
+	t.Run("store", func(t *testing.T) {
+		dir := t.TempDir()
+		last := v2Line(t, Record{Key: "last", Blocks: 2, Shots: 128, Errors: 1})
+		writeStore(t, dir, v2Line(t, Record{Key: "first", Blocks: 1, Shots: 64})+strings.TrimSuffix(last, "\n"))
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := s.Lookup("last"); !ok || r.Blocks != 2 || s.Len() != 2 {
+			t.Fatalf("CRC-verified final record dropped: %+v (ok=%v, Len=%d)", r, ok, s.Len())
+		}
+		if s.TornTail() {
+			t.Error("a CRC-verified final record was reported as a torn tail")
+		}
+	})
+	t.Run("latency-log", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "latency.jsonl")
+		l, err := OpenLatencyLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := l.Append(LatencyRec{Window: i, Status: "ok", Ns: int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, torn, err := ReadLatencies(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if torn || len(recs) != 2 || recs[1].Window != 1 {
+			t.Fatalf("CRC-verified final record: torn=%v recs=%+v, want it kept", torn, recs)
+		}
+	})
+}

@@ -7,7 +7,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -175,25 +174,18 @@ func TestConcurrentStoresConverge(t *testing.T) {
 	}
 }
 
-// A ledger assembled from two processes' records — v1 legacy lines and
-// v2 frames interleaved, progress out of order — must load to the
-// per-key maximum no matter the line order.
+// A ledger assembled from two processes' records — progress out of
+// order, duplicated keys — must load to the per-key maximum no matter
+// the line order.
 func TestMixedVersionOutOfOrderRecordsLoadToMax(t *testing.T) {
-	v1Line := func(rec Record) string {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b) + "\n"
-	}
 	newer := Record{Key: "pt", Blocks: 9, Shots: 576, Errors: 3}
 	older := Record{Key: "pt", Blocks: 2, Shots: 128, Errors: 1}
 	finished := Record{Key: "fin", Blocks: 4, Shots: 256, Errors: 2, Done: true, EarlyStopped: true}
 	partial := Record{Key: "fin", Blocks: 7, Shots: 448, Errors: 2}
 	layouts := map[string]string{
-		"v2-newer-first":  v2Line(t, newer) + v1Line(older),
-		"v1-older-first":  v1Line(older) + v2Line(t, newer),
-		"done-then-later": v2Line(t, finished) + v1Line(partial) + v1Line(older) + v2Line(t, newer),
+		"v2-newer-first":  v2Line(t, newer) + v2Line(t, older),
+		"v2-older-first":  v2Line(t, older) + v2Line(t, newer),
+		"done-then-later": v2Line(t, finished) + v2Line(t, partial) + v2Line(t, older) + v2Line(t, newer),
 	}
 	//fpnvet:orderless each layout asserts its own expectations; map order is irrelevant
 	for name, content := range layouts {
@@ -214,8 +206,7 @@ func TestMixedVersionOutOfOrderRecordsLoadToMax(t *testing.T) {
 					t.Errorf("fin resolved to %+v (ok=%v), want the Done record %+v", r, ok, finished)
 				}
 			}
-			// Rewriting through a Put upgrades everything to v2 frames
-			// and must preserve the merged view.
+			// Rewriting through a Put must preserve the merged view.
 			if err := s.Put(Record{Key: "extra", Blocks: 1, Shots: 64}); err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@
 package rtd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -18,6 +17,7 @@ import (
 	"net/url"
 
 	"github.com/fpn/flagproxy/internal/circuit"
+	"github.com/fpn/flagproxy/internal/frame"
 	"github.com/fpn/flagproxy/internal/sim"
 )
 
@@ -135,16 +135,15 @@ func (cl *Client) StreamResumable(ctx context.Context, fingerprint, id string, w
 			lastErr = err
 		} else {
 			seg, err := decodeResponseFrom(data, sendFrom)
+			out.Results = append(out.Results, seg.Results...)
 			if err == nil {
 				// A healthy segment ends the stream: adopt its verdicts.
-				out.Results = append(out.Results, seg.Results...)
 				out.Drained, out.Fatal = seg.Drained, seg.Fatal
 				return out, nil
 			}
+			// A torn segment still contributes its strictly valid
+			// prefix; frames after the first damaged byte are untrusted.
 			lastErr = err
-			// Salvage the strictly valid prefix of the torn response —
-			// frames after the first damaged byte are untrusted.
-			out.Results = append(out.Results, decodePrefix(data, sendFrom)...)
 		}
 		// Ask the server where the stream actually stands; it may have
 		// committed windows whose results died on the wire.
@@ -212,105 +211,61 @@ func JoinFrames(frames [][]byte) []byte {
 // window order, at most one fatal verdict, a trailer counting the
 // results. Any deviation is an error and nothing partial is returned.
 func decodeResponse(data []byte) (*StreamOutcome, error) {
-	return decodeResponseFrom(data, 0)
+	out, err := decodeResponseFrom(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // decodeResponseFrom is decodeResponse for a resumed segment whose
-// first result must carry absolute window index from.
+// first result must carry absolute window index from. On error the
+// outcome still holds the strictly valid result prefix — CRC-checked
+// frames in exact window order, up to the first damaged byte — which is
+// as trustworthy as a healthy stream's results; only completeness is
+// lost.
 func decodeResponseFrom(data []byte, from int) (*StreamOutcome, error) {
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("rtd: torn response: missing terminal newline")
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	out := &StreamOutcome{}
-	sawTrailer := false
-	for line := 1; sc.Scan(); line++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("rtd: response line %d: empty", line)
-		}
-		if sawTrailer {
-			return nil, fmt.Errorf("rtd: response line %d: data after the trailer", line)
-		}
-		rec, err := decodeFrame(raw)
-		if err != nil {
-			return nil, fmt.Errorf("rtd: response line %d: %v", line, err)
-		}
-		if tr, ok := probeTrailer(rec); ok {
-			if tr.End != len(out.Results) {
-				return nil, fmt.Errorf("rtd: trailer claims %d results, response carried %d", tr.End, len(out.Results))
-			}
-			out.Drained = tr.Drained
-			sawTrailer = true
-			continue
-		}
+	trailer, err := frame.ReadStream(frameVersion, data, func(rec json.RawMessage) (bool, error) {
 		var probe struct {
 			Err    *string `json:"err"`
 			Status *string `json:"st"`
 		}
 		if err := json.Unmarshal(rec, &probe); err != nil {
-			return nil, fmt.Errorf("rtd: response line %d: bad record: %v", line, err)
+			return false, fmt.Errorf("bad record: %v", err)
 		}
 		switch {
 		case probe.Err != nil:
 			if out.Fatal != "" {
-				return nil, fmt.Errorf("rtd: response line %d: second fatal verdict", line)
+				return false, errors.New("second fatal verdict")
 			}
 			out.Fatal = *probe.Err
+			return false, nil
 		case probe.Status != nil:
 			if out.Fatal != "" {
-				return nil, fmt.Errorf("rtd: response line %d: result after a fatal verdict", line)
+				return false, errors.New("result after a fatal verdict")
 			}
 			var res Result
 			if err := json.Unmarshal(rec, &res); err != nil {
-				return nil, fmt.Errorf("rtd: response line %d: bad result: %v", line, err)
+				return false, fmt.Errorf("bad result: %v", err)
 			}
 			if res.Window != from+len(out.Results) {
-				return nil, fmt.Errorf("rtd: response line %d: window %d out of order (want %d)", line, res.Window, from+len(out.Results))
+				return false, fmt.Errorf("window %d out of order (want %d)", res.Window, from+len(out.Results))
 			}
 			out.Results = append(out.Results, res)
-		default:
-			return nil, fmt.Errorf("rtd: response line %d: unrecognized record", line)
+			return true, nil
 		}
+		return false, errors.New("unrecognized record")
+	})
+	if err != nil {
+		return out, fmt.Errorf("rtd: response: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rtd: torn response: %v", err)
+	var tr Trailer
+	if err := json.Unmarshal(trailer, &tr); err != nil {
+		return out, fmt.Errorf("rtd: response: bad trailer: %v", err)
 	}
-	if !sawTrailer {
-		return nil, fmt.Errorf("rtd: torn response: no trailer after %d results", len(out.Results))
-	}
+	out.Drained = tr.Drained
 	return out, nil
-}
-
-// decodePrefix salvages the strictly valid result prefix of a torn
-// response: CRC-checked frames in exact window order starting at from,
-// stopping at the first damaged or out-of-order byte. Everything it
-// returns is as trustworthy as a healthy stream's results — the CRC
-// envelope is the same — only completeness is lost.
-func decodePrefix(data []byte, from int) []Result {
-	var results []Result
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			return results
-		}
-		rec, err := decodeFrame(raw)
-		if err != nil {
-			return results
-		}
-		if _, ok := probeTrailer(rec); ok {
-			return results
-		}
-		var res Result
-		if err := json.Unmarshal(rec, &res); err != nil || res.Status == "" || res.Window != from+len(results) {
-			return results
-		}
-		results = append(results, res)
-	}
-	return results
 }
 
 // BuildWindows converts n sampled shots (starting at firstShot) into

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -15,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if line[len(line)-1] != '\n' {
 		t.Fatal("encoded frame is not newline-terminated")
 	}
-	rec, err := decodeFrame(bytes.TrimSpace(line))
+	rec, err := frame.Decode(frameVersion, bytes.TrimSuffix(line, []byte("\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,80 +42,87 @@ func TestFrameCRCCatchesCorruption(t *testing.T) {
 	}
 	bad := append([]byte(nil), line...)
 	bad[i] ^= 0x01
-	if _, err := decodeFrame(bytes.TrimSpace(bad)); err == nil || !strings.Contains(err.Error(), "CRC32-C mismatch") {
+	if _, err := frame.Decode(frameVersion, bytes.TrimSuffix(bad, []byte("\n"))); err == nil || !strings.Contains(err.Error(), "CRC32-C mismatch") {
 		t.Fatalf("corrupted frame not rejected: %v", err)
 	}
 }
 
+// A healthy frame of another schema generation — here a checkpoint
+// ledger line — is refused on the syndrome wire.
 func TestFrameVersionGate(t *testing.T) {
-	line := []byte(`{"v":99,"crc":0,"rec":{}}`)
-	if _, err := decodeFrame(line); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
-		t.Fatalf("future version not rejected: %v", err)
+	line, err := frame.Encode(frameVersion+1, Round{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := JoinFrames([][]byte{line})
+	if _, err := decodeResponse(body); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
+		t.Fatalf("foreign version not rejected: %v", err)
 	}
 }
 
 func TestProbeTrailerDiscrimination(t *testing.T) {
-	if _, ok := probeTrailer(json.RawMessage(`{"w":0,"r":0}`)); ok {
+	if _, ok := frame.End(json.RawMessage(`{"w":0,"r":0}`)); ok {
 		t.Fatal("round record mistaken for a trailer")
 	}
-	tr, ok := probeTrailer(json.RawMessage(`{"end":7,"drained":true}`))
-	if !ok || tr.End != 7 || !tr.Drained {
-		t.Fatalf("trailer not recognized: %+v ok=%v", tr, ok)
-	}
-}
-
-// Every strict prefix of a healthy encoded stream must fail validation:
-// either the terminal newline is gone, the last line's envelope is cut,
-// or the trailer (with its count) is missing entirely.
-func TestEveryStrictPrefixFailsValidation(t *testing.T) {
-	wins := [][][]int{{{0}, {1, 2}}, {{}, {2}}}
-	frames, err := EncodeWindows("fp", wins)
+	line, err := EncodeFrame(Trailer{End: 0, Drained: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := JoinFrames(frames)
-	validate := func(data []byte) error {
-		if len(data) == 0 || data[len(data)-1] != '\n' {
-			return errNoNewline
-		}
-		lines := bytes.Split(data[:len(data)-1], []byte("\n"))
-		recs := 0
-		sawTrailer := false
-		for _, ln := range lines {
-			rec, err := decodeFrame(ln)
-			if err != nil {
-				return err
-			}
-			if tr, ok := probeTrailer(rec); ok {
-				if tr.End != recs-1 { // header is not counted
-					return errBadCount
-				}
-				sawTrailer = true
-				continue
-			}
-			recs++
-		}
-		if !sawTrailer {
-			return errNoTrailer
-		}
-		return nil
-	}
-	if err := validate(body); err != nil {
-		t.Fatalf("healthy stream rejected: %v", err)
-	}
-	for cut := 0; cut < len(body); cut++ {
-		if err := validate(body[:cut]); err == nil {
-			t.Fatalf("strict prefix of %d/%d bytes passed validation", cut, len(body))
-		}
+	out, err := decodeResponse(line)
+	if err != nil || !out.Drained || len(out.Results) != 0 {
+		t.Fatalf("drained trailer not recognized: %+v err=%v", out, err)
 	}
 }
 
-var (
-	errNoNewline = &validationError{"missing terminal newline"}
-	errBadCount  = &validationError{"trailer count mismatch"}
-	errNoTrailer = &validationError{"missing trailer"}
-)
-
-type validationError struct{ msg string }
-
-func (e *validationError) Error() string { return e.msg }
+// Every strict prefix of a healthy request body and of a healthy
+// response body must fail the readers that validate them: the shared
+// strict stream reader (with the request's count rule — the header is
+// not a counted record) and the client's decodeResponse.
+func TestEveryStrictPrefixFailsValidation(t *testing.T) {
+	frames, err := EncodeWindows("fp", [][][]int{{{0}, {1, 2}}, {{}, {2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	request := func(data []byte) error {
+		records := 0
+		_, err := frame.ReadStream(frameVersion, data, func(json.RawMessage) (bool, error) {
+			records++
+			return records > 1, nil
+		})
+		return err
+	}
+	var resp bytes.Buffer
+	for _, v := range []any{
+		Result{Window: 0, Status: StatusOK, Decoder: "flagged-mwpm", Flips: []int{1}},
+		Result{Window: 1, Status: StatusShed},
+		Fatal{Err: "rtd: hung client"},
+		Trailer{End: 2},
+	} {
+		line, err := EncodeFrame(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Write(line)
+	}
+	response := func(data []byte) error {
+		_, err := decodeResponse(data)
+		return err
+	}
+	for _, c := range []struct {
+		name     string
+		body     []byte
+		validate func([]byte) error
+	}{
+		{"request", JoinFrames(frames), request},
+		{"response", resp.Bytes(), response},
+	} {
+		if err := c.validate(c.body); err != nil {
+			t.Fatalf("healthy %s rejected: %v", c.name, err)
+		}
+		for cut := 0; cut < len(c.body); cut++ {
+			if err := c.validate(c.body[:cut]); err == nil {
+				t.Fatalf("strict %s prefix of %d/%d bytes passed validation", c.name, cut, len(c.body))
+			}
+		}
+	}
+}

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"github.com/fpn/flagproxy/internal/experiment"
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // Options configures NewServer. Online is required; everything else
@@ -464,7 +465,7 @@ func (st *stream) abortRead() {
 
 func (st *stream) writeFrame(payload any) error {
 	_ = st.rc.SetWriteDeadline(st.srv.clock.Now().Add(st.srv.writeTimeout))
-	if err := writeFrame(st.w, payload); err != nil {
+	if err := frame.Write(st.w, frameVersion, payload); err != nil {
 		return err
 	}
 	return st.rc.Flush()
@@ -607,13 +608,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readLine reads one request frame under a fresh read deadline.
+// readLine reads one request frame, newline stripped, under a fresh
+// read deadline. The body is untrusted, so a line longer than
+// frame.MaxLine ends the stream as torn instead of growing in memory.
 func (s *Server) readLine(st *stream, br *bufio.Reader) ([]byte, error) {
 	_ = st.rc.SetReadDeadline(s.clock.Now().Add(s.readTimeout))
 	if st.aborted.Load() {
 		_ = st.rc.SetReadDeadline(time.Unix(1, 0))
 	}
-	return br.ReadBytes('\n')
+	var line []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if len(line)+len(chunk) > frame.MaxLine+1 {
+			return nil, fmt.Errorf("request line longer than %d bytes", frame.MaxLine)
+		}
+		line = append(line, chunk...)
+		if err != bufio.ErrBufferFull {
+			if err != nil {
+				return nil, err
+			}
+			return line[:len(line)-1], nil
+		}
+	}
 }
 
 // classifyReadErr sorts a request read failure into drain, hung client
@@ -636,9 +652,9 @@ func (s *Server) readHeader(st *stream, br *bufio.Reader) (end streamEnd, ok boo
 	if err != nil {
 		return s.classifyReadErr(err, 0), false
 	}
-	rec, err := decodeFrame(line)
+	rec, err := frame.Decode(frameVersion, line)
 	if err != nil {
-		return streamEnd{torn: true, fatal: err.Error()}, false
+		return streamEnd{torn: true, fatal: "rtd: " + err.Error()}, false
 	}
 	var hdr Header
 	if err := json.Unmarshal(rec, &hdr); err != nil || hdr.Stream != StreamName {
@@ -730,13 +746,13 @@ func (s *Server) readRounds(st *stream, br *bufio.Reader) streamEnd {
 		if err != nil {
 			return s.classifyReadErr(err, partial)
 		}
-		rec, err := decodeFrame(line)
+		rec, err := frame.Decode(frameVersion, line)
 		if err != nil {
-			return streamEnd{torn: true, droppedRounds: partial, fatal: err.Error()}
+			return streamEnd{torn: true, droppedRounds: partial, fatal: "rtd: " + err.Error()}
 		}
-		if tr, ok := probeTrailer(rec); ok {
-			if tr.End != rounds {
-				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer claims %d rounds, stream carried %d", tr.End, rounds)}
+		if end, ok := frame.End(rec); ok {
+			if end != rounds {
+				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer claims %d rounds, stream carried %d", end, rounds)}
 			}
 			if win != nil {
 				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer inside window %d (round %d of %d)", win.idx, partial, s.rpw)}

@@ -18,6 +18,7 @@ import (
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/experiment"
 	"github.com/fpn/flagproxy/internal/fpn"
+	"github.com/fpn/flagproxy/internal/frame"
 	"github.com/fpn/flagproxy/internal/rtd"
 	"github.com/fpn/flagproxy/internal/sim"
 	"github.com/fpn/flagproxy/internal/surface"
@@ -525,4 +526,51 @@ func TestHungClientReclaimed(t *testing.T) {
 	if st.HungClients != 1 || st.StreamsTorn != 0 {
 		t.Fatalf("hung accounting: %+v", st)
 	}
+}
+
+// The request body is untrusted: a line that never ends must not grow
+// server memory until the read deadline. The server cuts it at
+// frame.MaxLine with a torn-stream verdict, long before the deadline.
+func TestOversizedRequestLineIsTorn(t *testing.T) {
+	o := newOnline(t, nil)
+	const readTimeout = 5 * time.Second
+	s, ts := startServer(t, rtd.Options{Online: o, ReadTimeout: readTimeout})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	out, err := (&rtd.Client{URL: ts.URL}).StreamBody(ctx, &newlineless{ctx: ctx, limit: 16 * frame.MaxLine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > readTimeout/2 {
+		t.Errorf("verdict took %v, want it long before the %v read deadline", elapsed, readTimeout)
+	}
+	if !strings.Contains(out.Fatal, "torn stream") || !strings.Contains(out.Fatal, "longer than") {
+		t.Fatalf("fatal = %q, want a torn-stream verdict for the oversized line", out.Fatal)
+	}
+	if st := s.Stats(); st.StreamsTorn != 1 || st.HungClients != 0 {
+		t.Fatalf("oversized-line accounting: %+v", st)
+	}
+}
+
+// newlineless is a request body with no newline: limit bytes of 'x',
+// then a stall until ctx ends — to the server, one line that never
+// ends. The limit only keeps a server without a line bound from
+// exhausting memory before its read deadline.
+type newlineless struct {
+	ctx         context.Context
+	limit, sent int
+}
+
+func (r *newlineless) Read(p []byte) (int, error) {
+	if r.sent >= r.limit {
+		<-r.ctx.Done()
+		return 0, r.ctx.Err()
+	}
+	n := min(len(p), r.limit-r.sent)
+	for i := range p[:n] {
+		p[i] = 'x'
+	}
+	r.sent += n
+	return n, nil
 }
