@@ -294,6 +294,10 @@ func validate(cfg Config) error {
 	if cfg.Shots <= 0 {
 		return fmt.Errorf("experiment: Shots must be positive (got %d)", cfg.Shots)
 	}
+	// The negated test also rejects NaN, which fails every comparison.
+	if !(cfg.P >= 0 && cfg.P < 1) {
+		return fmt.Errorf("experiment: P must be in [0, 1) (got %g)", cfg.P)
+	}
 	if cfg.Code.K <= 0 {
 		return fmt.Errorf("experiment: code %q has k=%d logical qubits, BER_norm = BER/k is undefined (missing rank/distance metadata?)", cfg.Code.Name, cfg.Code.K)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -193,12 +194,24 @@ func TestValidateEngineKnobs(t *testing.T) {
 		"ci-too-large":    func(c *Config) { c.MaxCI = 1 },
 		"negative-shard":  func(c *Config) { c.ShardShots = -64 },
 		"negative-worker": func(c *Config) { c.Workers = -2 },
+		"p-nan":           func(c *Config) { c.P = math.NaN() },
+		"p-plus-inf":      func(c *Config) { c.P = math.Inf(1) },
+		"p-minus-inf":     func(c *Config) { c.P = math.Inf(-1) },
+		"p-negative":      func(c *Config) { c.P = -1e-3 },
+		"p-one":           func(c *Config) { c.P = 1 },
+		"p-above-one":     func(c *Config) { c.P = 1.5 },
 	} {
 		cfg := base
 		mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: expected a validation error", name)
 		}
+	}
+	// P's range is half-open: a noiseless run stays valid.
+	noiseless := base
+	noiseless.P = 0
+	if err := validate(noiseless); err != nil {
+		t.Errorf("P=0 rejected: %v", err)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package seedmix derives statistically independent RNG seeds from a
 // single base seed. The shard engine in package experiment seeds every
 // 64-shot sampling block with Derive(base, blockIndex), and the sweep
-// drivers derive one seed per (figure, decoder, basis, p) point, so no
-// two shards or sweep points ever share an RNG stream while the whole
-// run stays reproducible from one -seed flag.
+// drivers derive one seed per (figure, decoder, basis, p) point, so
+// shards and sweep points get distinct 64-bit seeds while the whole run
+// stays reproducible from one -seed flag. math/rand's Seed reduces a
+// seed mod 2³¹−1, so two of the resulting streams can still coincide,
+// rarely (DESIGN.md, decision 6).
 package seedmix
 
 import "math"

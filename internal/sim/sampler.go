@@ -21,7 +21,9 @@ type Sampler struct {
 // NewSampler builds a reusable sampler for the circuit with capacity
 // for maxShots lanes per Run call.
 func NewSampler(c *circuit.Circuit, maxShots int) *Sampler {
-	return &Sampler{fs: newFrameSim(c, maxShots, 0), max: maxShots}
+	fs := newFrameSim(c, maxShots, 0)
+	fs.noise = noiseTable(c)
+	return &Sampler{fs: fs, max: maxShots}
 }
 
 // Validate reports whether a Run call with this shot count would be
@@ -71,6 +73,7 @@ type BlockSampler struct {
 // for maxBlocks 64-shot blocks per Run call.
 func NewBlockSampler(c *circuit.Circuit, maxBlocks int) *BlockSampler {
 	fs := newFrameSim(c, maxBlocks*64, 0)
+	fs.noise = noiseTable(c)
 	fs.wordSrcs = make([]rand.Source, maxBlocks)
 	fs.wordRngs = make([]*rand.Rand, maxBlocks)
 	for i := range fs.wordSrcs {

@@ -202,3 +202,25 @@ func TestSamplerRunPanicsOutOfRange(t *testing.T) {
 	}()
 	s.Run(65, 1)
 }
+
+// TestBlockSamplerSteadyStateZeroAlloc gates the sampler hot path at
+// exactly zero allocations per pass after warm-up: the scan constants
+// are fixed at construction, and full passes, partial tails, the
+// first-draw fast path and the exact scan must all stay off the heap.
+func TestBlockSamplerSteadyStateZeroAlloc(t *testing.T) {
+	const blocks = 16
+	for _, p := range []float64{1e-3, 0.05} {
+		s := NewBlockSampler(planarCircuit(t, 5, p), blocks)
+		s.Run(0, blocks*64, 1)
+		for _, shots := range []int{blocks * 64, 5*64 + 9} {
+			first := blocks
+			allocs := testing.AllocsPerRun(20, func() {
+				s.Run(first, shots, 1)
+				first += blocks
+			})
+			if allocs != 0 {
+				t.Errorf("p=%g shots=%d: %v allocs per BlockSampler.Run, want 0", p, shots, allocs)
+			}
+		}
+	}
+}

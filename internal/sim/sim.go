@@ -98,12 +98,77 @@ type frameSim struct {
 	cur *rand.Rand
 
 	measBases []int // lazily computed first-measurement index per op
+
+	// noise[oi] holds the skip-sampling constants of op oi's noise
+	// channels, fixed when a noisy simulator is built. nil in
+	// deterministic (injection) mode, which samples no noise.
+	noise []opNoise
+}
+
+// geom holds the geometric skip-sampling constants of one noise
+// probability p, computed once per circuit so the scan loop never
+// re-derives them.
+type geom struct {
+	p    float64
+	logq float64 // log(1-p)
+	// uNone is the first-draw threshold: a first draw u >= uNone skips
+	// past every lane of a full 64-lane word, so the word has no hit and
+	// the exact Log path can be skipped. Above 1 (never drawn) when the
+	// construction check fails, which disables the test for this p.
+	uNone float64
+}
+
+// opNoise holds one op's scan constants per noise field of circuit.Op.
+type opNoise struct{ p, flip, px, py, pz geom }
+
+// noneMargin is the relative safety margin of the first-draw threshold:
+// uNone targets a skip of 64·(1+2·noneMargin) lanes and must be checked
+// to give at least 64·(1+noneMargin). The exact skip expression is
+// monotone in u up to the last-ulp error of math.Log and one rounding in
+// each of the subtraction and the division, all far below the margin,
+// so every draw u >= uNone takes a skip of at least 64 in the exact
+// path too. The margin only sends a negligible sliver of no-hit words
+// (relative width ~1e-6) down the exact path.
+const noneMargin = 1e-6
+
+// newGeom precomputes the scan constants of probability p. Values the
+// scan never reaches (p <= 0, p >= 1) keep uNone above 1.
+func newGeom(p float64) geom {
+	g := geom{p: p, logq: math.Log1p(-p), uNone: 2}
+	if !(p > 0 && p < 1) {
+		return g
+	}
+	u := -math.Expm1(64 * (1 + 2*noneMargin) * g.logq)
+	if math.Log(1-u)/g.logq >= 64*(1+noneMargin) {
+		g.uNone = u
+	}
+	return g
+}
+
+// noiseTable computes the scan constants of every noisy op of c, once
+// per distinct probability.
+func noiseTable(c *circuit.Circuit) []opNoise {
+	seen := map[float64]geom{}
+	get := func(p float64) geom {
+		g, ok := seen[p]
+		if !ok {
+			g = newGeom(p)
+			seen[p] = g
+		}
+		return g
+	}
+	tab := make([]opNoise, len(c.Ops))
+	for i, op := range c.Ops {
+		tab[i] = opNoise{p: get(op.P), flip: get(op.FlipProb), px: get(op.PX), py: get(op.PY), pz: get(op.PZ)}
+	}
+	return tab
 }
 
 // Run samples the circuit with its annotated noise for the given number
 // of shots.
 func Run(c *circuit.Circuit, shots int, seed int64) *Result {
 	fs := newFrameSim(c, shots, seed)
+	fs.noise = noiseTable(c)
 	for oi, op := range c.Ops {
 		fs.apply(oi, op, true, nil)
 	}
@@ -231,68 +296,75 @@ func (fs *frameSim) resultInto(r *Result) {
 	}
 }
 
-// forEachLane visits lanes selected i.i.d. with probability p, using
+// forEachLane visits lanes selected i.i.d. with probability g.p, using
 // geometric skip-sampling so the cost is proportional to the number of
 // hits rather than the number of shots. In block mode every 64-lane
-// word is scanned with its own RNG stream.
-func (fs *frameSim) forEachLane(p float64, f func(lane int)) {
-	if p <= 0 {
+// word is scanned with its own RNG stream, and a full word whose first
+// draw reaches g.uNone is known to have no hit without taking the Log.
+func (fs *frameSim) forEachLane(g *geom, f func(lane int)) {
+	if g.p <= 0 {
 		return
 	}
 	if fs.wordRngs == nil {
-		if p >= 1 {
+		if g.p >= 1 {
 			for l := 0; l < fs.shots; l++ {
 				f(l)
 			}
 			return
 		}
-		geomScan(fs.rng, math.Log1p(-p), 0, fs.shots, f)
+		geomScan(fs.rng, fs.rng.Float64(), g.logq, 0, fs.shots, f)
 		return
 	}
-	if p >= 1 {
+	if g.p >= 1 {
 		for wi := 0; wi < fs.words; wi++ {
 			fs.cur = fs.wordRngs[wi]
-			hi := wi*64 + 64
-			if hi > fs.shots {
-				hi = fs.shots
-			}
+			hi := min(wi*64+64, fs.shots)
 			for l := wi * 64; l < hi; l++ {
 				f(l)
 			}
 		}
 		return
 	}
-	logq := math.Log1p(-p)
 	for wi := 0; wi < fs.words; wi++ {
 		lo := wi * 64
-		hi := lo + 64
-		if hi > fs.shots {
-			hi = fs.shots
+		hi := min(lo+64, fs.shots)
+		rng := fs.wordRngs[wi]
+		u := rng.Float64()
+		if u >= g.uNone && hi-lo == 64 {
+			continue
 		}
-		fs.cur = fs.wordRngs[wi]
-		geomScan(fs.cur, logq, lo, hi, f)
+		fs.cur = rng
+		geomScan(rng, u, g.logq, lo, hi, f)
 	}
 }
 
 // geomScan visits lanes of [lo, hi) selected i.i.d. with hit
-// probability p = 1 - exp(logq) by geometric skip-sampling on rng.
-func geomScan(rng *rand.Rand, logq float64, lo, hi int, f func(lane int)) {
+// probability p = 1 - exp(logq) by geometric skip-sampling, starting
+// from the already drawn u and drawing every later u from rng. The
+// float skip is compared with the remaining window before it is
+// converted, so a skip too large for an int (p below ~1e-19) ends the
+// scan instead of wrapping to a negative lane.
+func geomScan(rng *rand.Rand, u, logq float64, lo, hi int, f func(lane int)) {
 	l := lo
 	for {
-		u := rng.Float64()
-		skip := int(math.Log(1-u) / logq)
-		l += skip
-		if l >= hi {
+		skip := math.Log(1-u) / logq
+		if skip >= float64(hi-l) {
 			return
 		}
+		l += int(skip)
 		f(l)
 		l++
+		u = rng.Float64()
 	}
 }
 
 func setBit(row []uint64, lane int) { row[lane/64] ^= 1 << (uint(lane) % 64) }
 
 func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injection) {
+	var nz *opNoise
+	if noisy {
+		nz = &fs.noise[opIndex]
+	}
 	switch op.Kind {
 	case circuit.OpCX:
 		for _, p := range op.Pairs {
@@ -319,7 +391,7 @@ func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injectio
 			m := meas + i
 			copy(fs.meas[m], fs.fx[q])
 			if noisy && op.FlipProb > 0 {
-				fs.forEachLane(op.FlipProb, func(l int) { setBit(fs.meas[m], l) })
+				fs.forEachLane(&nz.flip, func(l int) { setBit(fs.meas[m], l) })
 			}
 			if op.Kind == circuit.OpMR {
 				for w := 0; w < fs.words; w++ {
@@ -336,15 +408,15 @@ func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injectio
 	case circuit.OpPauli1:
 		if noisy {
 			for _, q := range op.Qubits {
-				fs.forEachLane(op.PX, func(l int) { setBit(fs.fx[q], l) })
-				fs.forEachLane(op.PY, func(l int) { setBit(fs.fx[q], l); setBit(fs.fz[q], l) })
-				fs.forEachLane(op.PZ, func(l int) { setBit(fs.fz[q], l) })
+				fs.forEachLane(&nz.px, func(l int) { setBit(fs.fx[q], l) })
+				fs.forEachLane(&nz.py, func(l int) { setBit(fs.fx[q], l); setBit(fs.fz[q], l) })
+				fs.forEachLane(&nz.pz, func(l int) { setBit(fs.fz[q], l) })
 			}
 		}
 	case circuit.OpDepol1:
 		if noisy {
 			for _, q := range op.Qubits {
-				fs.forEachLane(op.P, func(l int) {
+				fs.forEachLane(&nz.p, func(l int) {
 					switch fs.cur.Intn(3) {
 					case 0:
 						setBit(fs.fx[q], l)
@@ -361,7 +433,7 @@ func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injectio
 		if noisy {
 			for _, pr := range op.Pairs {
 				a, b := pr[0], pr[1]
-				fs.forEachLane(op.P, func(l int) {
+				fs.forEachLane(&nz.p, func(l int) {
 					k := 1 + fs.cur.Intn(15) // 2-qubit Pauli index, base 4, skipping II
 					pa, pb := k/4, k%4
 					fs.injectPauliIndex(a, pa, l)
@@ -372,7 +444,7 @@ func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injectio
 	case circuit.OpXFlip:
 		if noisy {
 			for _, q := range op.Qubits {
-				fs.forEachLane(op.P, func(l int) { setBit(fs.fx[q], l) })
+				fs.forEachLane(&nz.p, func(l int) { setBit(fs.fx[q], l) })
 			}
 		}
 	}
