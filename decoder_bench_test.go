@@ -1,13 +1,16 @@
 package flagproxy
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/dem"
+	"github.com/fpn/flagproxy/internal/experiment"
 	"github.com/fpn/flagproxy/internal/fpn"
+	"github.com/fpn/flagproxy/internal/hgp"
 	"github.com/fpn/flagproxy/internal/noise"
 	"github.com/fpn/flagproxy/internal/schedule"
 	"github.com/fpn/flagproxy/internal/sim"
@@ -377,4 +380,62 @@ func BenchmarkDecodeBPOSD(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchDecodeShots(b, f, dec)
+}
+
+// BenchmarkDecodeBPOSDHGP measures the BP+OSD decoder per shot on the
+// hgp-bposd workload's code — the hypergraph product of
+// hgp.RandomLDPC(6,3,4) (construction seed 12) with itself, bare
+// architecture, Z basis, 2 rounds, p=1e-3 — on fresh shots: whenever
+// the 4,096-shot set runs out it is re-sampled with the next seed
+// outside the timer, so no syndrome is decoded twice.
+func BenchmarkDecodeBPOSDHGP(b *testing.B) {
+	c1, err := hgp.RandomLDPC(6, 3, 4, rand.New(rand.NewSource(12)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	code, err := hgp.Product(c1, c1, "hgp-6-3-4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := experiment.NewPipeline(code, fpn.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: pl.Plan, Basis: css.Z, Rounds: 2, Noise: &noise.Model{P: 1e-3}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := dem.Extract(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := decoder.NewBPOSD(model, css.Z, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shots = 4096
+	seed := int64(1)
+	res := sim.Run(c, shots, seed)
+	shot := 0
+	bit := func(d int) bool { return res.DetectorBit(d, shot) }
+	sc := decoder.NewScratch()
+	if _, err := dec.DecodeWith(sc, bit); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if shot == shots {
+			b.StopTimer()
+			seed++
+			res = sim.Run(c, shots, seed)
+			shot = 0
+			b.StartTimer()
+		}
+		if _, err := dec.DecodeWith(sc, bit); err != nil {
+			b.Fatal(err)
+		}
+		shot++
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 }

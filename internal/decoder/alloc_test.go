@@ -108,8 +108,9 @@ func maxAllocs(counts []float64) float64 {
 	return m
 }
 
-// TestDecodeSteadyStateZeroAlloc gates the matching-family hot paths at
-// exactly zero steady-state allocations on realistic sampled shots.
+// TestDecodeSteadyStateZeroAlloc gates the matching-family and BP+OSD
+// hot paths at exactly zero steady-state allocations on realistic
+// sampled shots (Restriction: on most shots).
 func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs the full shot sweep")
@@ -173,22 +174,31 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("restriction: only %d/%d shots decode allocation-free", rzero, shots)
 	}
 
-	bposd, err := NewBPOSD(fmodel, css.Z, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// BP-converged shots must be allocation-free; the OSD fallback is
-	// allowed to allocate, so gate the minimum over shots at 0 and the
-	// typical (median) shot too.
-	counts := allocsPerDecode(t, bposd, fres, shots)
-	zero := 0
-	for _, ct := range counts {
-		if ct == 0 {
-			zero++
+	// BP+OSD allocates nothing on any shot, OSD-0 included. Each fixture
+	// must reach both BP convergence and OSD-0, so the gate cannot pass
+	// for lack of either path.
+	hmodel, hc := hgpWorkloadModel(t, 1e-3)
+	for _, fx := range []struct {
+		name  string
+		model *dem.Model
+		res   *sim.Result
+	}{{"[[30,8,3,3]]", fmodel, fres}, {"hgp-6-3-4", hmodel, sim.Run(hc, shots, 45)}} {
+		bposd, err := NewBPOSD(fx.model, css.Z, 30)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if zero < shots/2 {
-		t.Errorf("BP+OSD: only %d/%d shots decode allocation-free", zero, shots)
+		var paths bpPaths
+		probe := NewScratch()
+		for s := 0; s < shots; s++ {
+			s := s
+			paths.classify(bposd, probe, func(d int) bool { return fx.res.DetectorBit(d, s) })
+		}
+		if paths.converged == 0 || paths.osd == 0 {
+			t.Fatalf("BP+OSD fixture %s misses a path: %+v", fx.name, paths)
+		}
+		if m := maxAllocs(allocsPerDecode(t, bposd, fx.res, shots)); m != 0 {
+			t.Errorf("BP+OSD (%s, %+v): %v allocs/op in steady state, want 0", fx.name, paths, m)
+		}
 	}
 }
 

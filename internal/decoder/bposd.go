@@ -3,6 +3,7 @@ package decoder
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/fpn/flagproxy/internal/css"
@@ -19,34 +20,36 @@ import (
 // extension: unlike matching it needs no graph-like structure, so it
 // also applies to the hypergraph-product codes of §VII-A.
 //
-// The Tanner-graph structure (slot offsets, check adjacency, prior
-// LLRs) is fixed per run and precomputed at construction; per-shot
-// message storage comes flattened out of a DecodeScratch, so the BP
-// iteration path is allocation-free. Only the OSD-0 fallback (BP
-// non-convergence) allocates.
+// The Tanner-graph structure (check-major message slots, per-variable
+// slot lists, prior LLRs, per-variable row bitsets) is fixed per run
+// and precomputed at construction; every per-shot buffer — BP messages,
+// the incremental syndrome check and the OSD-0 echelon — comes out of a
+// DecodeScratch, so DecodeWith is allocation-free on every shot,
+// including the ones that reach OSD.
 type BPOSD struct {
 	Basis css.Basis
 	// Iters is the number of min-sum iterations before OSD (default 30).
 	Iters int
 
 	numObs int
-	id     string // kind+config tag attached to decode errors
-	dets   []int  // row order: detector ids (syndrome + flag)
-	rowOf  map[int]int
+	id     string  // kind+config tag attached to decode errors
+	dets   []int   // row order: detector ids (syndrome + flag)
 	varDet [][]int // variable -> row indices
 	varObs [][]int // variable -> observables flipped
 	prior  []float64
-	h      *gf2.Matrix // rows = dets, cols = variables
+	h      *gf2.Matrix // rows = dets, cols = variables; the test reference's OSD input
 
-	varOff   []int     // variable -> first message slot (len nv+1)
+	// Message slots are the Tanner edges numbered in row order, so the
+	// check update walks contiguous memory.
+	rowOff   []int32   // row -> first slot (len rows+1)
+	rowVar   []int32   // slot -> variable
+	varOff   []int32   // variable -> first entry of varSlot (len nv+1)
+	varSlot  []int32   // variable's k-th row entry -> its slot
 	priorLLR []float64 // log((1-p)/p) per variable
-	rowRefs  []slotRef // flattened check adjacency
-	rowOff   []int     // row -> first index into rowRefs (len rows+1)
-}
 
-// slotRef addresses one Tanner-graph edge: variable v, position k in its
-// row list (message slot varOff[v]+k).
-type slotRef struct{ v, k int }
+	words int      // uint64 words per row bitset
+	cols  []uint64 // variable -> its row set (words per variable), for OSD-0
+}
 
 // NewBPOSD builds the decoder for one syndrome basis; flag detectors are
 // included as checks so the flag protocol is used implicitly.
@@ -55,14 +58,15 @@ func NewBPOSD(model *dem.Model, basis css.Basis, iters int) (*BPOSD, error) {
 		iters = 30
 	}
 	events := model.Project(basis)
-	d := &BPOSD{Basis: basis, Iters: iters, numObs: len(model.Circuit.Observables), rowOf: map[int]int{}}
+	d := &BPOSD{Basis: basis, Iters: iters, numObs: len(model.Circuit.Observables)}
 	d.id = fmt.Sprintf("bp-osd(basis=%c iters=%d)", basis, iters)
+	rowOf := map[int]int{}
 	addRow := func(det int) int {
-		if r, ok := d.rowOf[det]; ok {
+		if r, ok := rowOf[det]; ok {
 			return r
 		}
 		r := len(d.dets)
-		d.rowOf[det] = r
+		rowOf[det] = r
 		d.dets = append(d.dets, det)
 		return r
 	}
@@ -85,31 +89,36 @@ func NewBPOSD(model *dem.Model, basis css.Basis, iters int) (*BPOSD, error) {
 		}
 		d.prior = append(d.prior, p)
 	}
-	d.h = gf2.MatrixFromSupports(len(d.dets), len(d.varDet), transposeSupports(len(d.dets), d.varDet))
-	nv := len(d.varDet)
-	d.varOff = make([]int, nv+1)
+	nr, nv := len(d.dets), len(d.varDet)
+	d.h = gf2.MatrixFromSupports(nr, nv, transposeSupports(nr, d.varDet))
+	d.words = (nr + 63) / 64
+	d.cols = make([]uint64, nv*d.words)
+	d.varOff = make([]int32, nv+1)
 	d.priorLLR = make([]float64, nv)
-	for v := 0; v < nv; v++ {
-		d.varOff[v+1] = d.varOff[v] + len(d.varDet[v])
+	counts := make([]int32, nr)
+	for v, rows := range d.varDet {
+		d.varOff[v+1] = d.varOff[v] + int32(len(rows))
 		d.priorLLR[v] = math.Log((1 - d.prior[v]) / d.prior[v])
-	}
-	counts := make([]int, len(d.dets))
-	for v := 0; v < nv; v++ {
-		for _, r := range d.varDet[v] {
+		for _, r := range rows {
 			counts[r]++
+			// A repeated row entry sets its bit once, as in the dense
+			// matrix; BP still sees both edges.
+			d.cols[v*d.words+r/64] |= 1 << (r % 64)
 		}
 	}
-	d.rowOff = make([]int, len(d.dets)+1)
-	for r := range counts {
-		d.rowOff[r+1] = d.rowOff[r] + counts[r]
+	d.rowOff = make([]int32, nr+1)
+	for r, c := range counts {
+		d.rowOff[r+1] = d.rowOff[r] + c
 	}
-	d.rowRefs = make([]slotRef, d.rowOff[len(d.dets)])
-	fillPos := make([]int, len(d.dets))
-	copy(fillPos, d.rowOff[:len(d.dets)])
-	for v := 0; v < nv; v++ {
-		for k, r := range d.varDet[v] {
-			d.rowRefs[fillPos[r]] = slotRef{v, k}
-			fillPos[r]++
+	slots := d.rowOff[nr]
+	d.rowVar = make([]int32, slots)
+	d.varSlot = make([]int32, slots)
+	fill := append([]int32(nil), d.rowOff[:nr]...)
+	for v, rows := range d.varDet {
+		for k, r := range rows {
+			d.rowVar[fill[r]] = int32(v)
+			d.varSlot[int(d.varOff[v])+k] = fill[r]
+			fill[r]++
 		}
 	}
 	return d, nil
@@ -136,7 +145,7 @@ func (d *BPOSD) Decode(detBit func(int) bool) ([]bool, error) {
 	return d.DecodeWith(NewScratch(), detBit)
 }
 
-// DecodeWith is Decode drawing the BP message storage from sc. The
+// DecodeWith is Decode drawing every per-shot buffer from sc. The
 // returned slice aliases sc and is valid until sc's next use. Internal
 // panics are recovered into returned errors.
 //
@@ -145,47 +154,68 @@ func (d *BPOSD) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []boo
 	defer annotateErr(d.id, &err)
 	defer Recover(&err)
 	sc.reset(d.numObs)
-	correction := sc.correction
-	nv := len(d.varDet)
-	bp := &sc.bp
-	bp.ensure(len(d.dets), nv, d.varOff[nv])
+	switch d.propagate(&sc.bp, detBit) {
+	case bpConverged:
+		d.applyHard(sc.bp.hard, sc.correction)
+	case bpStalled:
+		d.osd0(&sc.bp, sc.correction)
+	}
+	return sc.correction, nil
+}
+
+// bpOutcome is how the BP stage of one shot ended.
+type bpOutcome uint8
+
+const (
+	bpEmpty     bpOutcome = iota // no detector fired
+	bpConverged                  // the hard decision reproduces the syndrome
+	bpStalled                    // Iters ran out; OSD-0 decides
+)
+
+// propagate reads the syndrome into bp and runs up to Iters min-sum
+// iterations, leaving the posteriors and hard decisions in bp.
+func (d *BPOSD) propagate(bp *bpScratch, detBit func(int) bool) bpOutcome {
+	nr, nv := len(d.dets), len(d.varDet)
+	bp.ensure(nr, nv, len(d.rowVar), d.words)
 	syndrome := bp.syndrome
-	any := false
+	unsat := 0
 	for r, det := range d.dets {
 		syndrome[r] = detBit(det)
 		if syndrome[r] {
-			any = true
+			unsat++
 		}
 	}
-	if !any {
-		return correction, nil
+	if unsat == 0 {
+		return bpEmpty
 	}
-	// Message storage indexed by (variable, position in its row list),
-	// flattened at the precomputed slot offsets.
-	v2c := bp.v2c
-	c2v := bp.c2v
-	for v := 0; v < nv; v++ {
-		lo, hi := d.varOff[v], d.varOff[v+1]
-		for i := lo; i < hi; i++ {
-			v2c[i] = d.priorLLR[v]
-			c2v[i] = 0
-		}
+	v2c, c2v := bp.v2c, bp.c2v
+	for e, v := range d.rowVar {
+		v2c[e] = d.priorLLR[v]
 	}
-	posterior := bp.posterior
+	// Incremental syndrome check: mismatch[r] is whether row r's parity
+	// under the hard decision differs from the syndrome, unsat counts
+	// the mismatched rows. Every hard decision starts false, so the rows
+	// start mismatched exactly where the syndrome fires; a repeated row
+	// entry flips its row twice, as a full parity re-scan would count it.
+	mismatch := bp.mismatch
+	copy(mismatch, syndrome)
 	hard := bp.hard
+	clear(hard)
+	posterior := bp.posterior
 	for iter := 0; iter < d.Iters; iter++ {
-		// Check update (min-sum with sign from syndrome).
-		for r := range d.dets {
-			refs := d.rowRefs[d.rowOff[r]:d.rowOff[r+1]]
-			sign := 1.0
+		// Check update (normalized min-sum with sign from syndrome). The
+		// per-row outputs ±(0.75·prod)·min are exact negations of the
+		// per-edge (0.75·s)·min products they replace.
+		for r := 0; r < nr; r++ {
+			lo, hi := d.rowOff[r], d.rowOff[r+1]
+			in, out := v2c[lo:hi], c2v[lo:hi]
+			prod := 1.0
 			if syndrome[r] {
-				sign = -1.0
+				prod = -1.0
 			}
 			min1, min2 := math.Inf(1), math.Inf(1)
 			arg1 := -1
-			prod := sign
-			for i, ref := range refs {
-				m := v2c[d.varOff[ref.v]+ref.k]
+			for i, m := range in {
 				if m < 0 {
 					prod = -prod
 				}
@@ -198,103 +228,162 @@ func (d *BPOSD) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []boo
 					min2 = a
 				}
 			}
-			for i, ref := range refs {
-				mag := min1
+			out1, out2 := 0.75*prod*min1, 0.75*prod*min2
+			for i, m := range in {
+				c := out1
 				if i == arg1 {
-					mag = min2
+					c = out2
 				}
-				s := prod
-				if v2c[d.varOff[ref.v]+ref.k] < 0 {
-					s = -s
+				if m < 0 {
+					c = -c
 				}
-				c2v[d.varOff[ref.v]+ref.k] = 0.75 * s * mag // normalized min-sum
+				out[i] = c
 			}
 		}
-		// Variable update and hard decision.
-		satisfied := true
+		// Variable update in each variable's own row-list order, so every
+		// sum keeps its summation order; hard-decision flips update the
+		// syndrome check.
 		for v := 0; v < nv; v++ {
+			slots := d.varSlot[d.varOff[v]:d.varOff[v+1]]
 			total := d.priorLLR[v]
-			lo, hi := d.varOff[v], d.varOff[v+1]
-			for i := lo; i < hi; i++ {
-				total += c2v[i]
+			for _, e := range slots {
+				total += c2v[e]
 			}
 			posterior[v] = total
-			hard[v] = total < 0
-			for i := lo; i < hi; i++ {
-				v2c[i] = total - c2v[i]
+			for _, e := range slots {
+				v2c[e] = total - c2v[e]
 			}
-		}
-		// Syndrome check for early exit.
-		for r := range d.dets {
-			par := false
-			for _, ref := range d.rowRefs[d.rowOff[r]:d.rowOff[r+1]] {
-				if hard[ref.v] {
-					par = !par
-				}
-			}
-			if par != syndrome[r] {
-				satisfied = false
-				break
-			}
-		}
-		if satisfied {
-			for v := 0; v < nv; v++ {
-				if hard[v] {
-					for _, o := range d.varObs[v] {
-						correction[o] = !correction[o]
+			if h := total < 0; h != hard[v] {
+				hard[v] = h
+				for _, r := range d.varDet[v] {
+					mismatch[r] = !mismatch[r]
+					if mismatch[r] {
+						unsat++
+					} else {
+						unsat--
 					}
 				}
 			}
-			return correction, nil
+		}
+		if unsat == 0 {
+			return bpConverged
 		}
 	}
-	return d.osd0(syndrome, posterior, hard, correction), nil
+	return bpStalled
+}
+
+// applyHard flips the observables of every variable the hard decision
+// sets.
+func (d *BPOSD) applyHard(hard []bool, correction []bool) {
+	for v, h := range hard {
+		if h {
+			for _, o := range d.varObs[v] {
+				correction[o] = !correction[o]
+			}
+		}
+	}
 }
 
 // osd0 is the ordered-statistics fallback for BP non-convergence: order
 // variables by reliability (most-likely-error first) and solve H·e = s
-// on the reliable information set. BP failed to converge for this shot,
-// so this cold path is rare and — unlike the BP iterations above — may
-// allocate.
+// on the reliable information set.
 //
-//fpnvet:coldpath OSD fallback runs on the rare non-converged shot; the alloc gate only bounds its frequency
-func (d *BPOSD) osd0(syndrome []bool, posterior []float64, hard []bool, correction []bool) []bool {
-	nv := len(d.varDet)
-	order := make([]int, nv)
-	for v := range order {
-		order[v] = v
+// The columns enter a column echelon one at a time in that order. A
+// column independent of the earlier ones is a pivot — exactly the pivot
+// columns Gaussian elimination of the reordered matrix picks — and the
+// syndrome is reduced against each new pivot as it arrives. Once it
+// reaches zero, the combination of pivot columns it recorded is its
+// unique expansion over independent columns, i.e. the solution a full
+// elimination returns, so the remaining columns are never touched.
+//
+// It reports false when the syndrome lies outside the column space and
+// the BP hard decision was applied instead.
+func (d *BPOSD) osd0(bp *bpScratch, correction []bool) bool {
+	w := d.words
+	ord := &bp.order
+	for v := range ord.vars {
+		ord.vars[v] = int32(v)
 	}
-	sort.Slice(order, func(i, j int) bool { return posterior[order[i]] < posterior[order[j]] })
-	perm := gf2.NewMatrix(d.h.Rows(), nv)
-	for newCol, v := range order {
-		for _, r := range d.varDet[v] {
-			perm.Set(r, newCol, true)
+	ord.post = bp.posterior
+	sort.Sort(ord)
+	// syn is the reduced syndrome, synComb the pivots it has absorbed.
+	syn, synComb := bp.syn[:w], bp.syn[w:]
+	clear(bp.syn)
+	for r, s := range bp.syndrome {
+		if s {
+			syn[r/64] |= 1 << (r % 64)
 		}
 	}
-	s := gf2.NewVec(d.h.Rows())
-	for r := 0; r < len(d.dets); r++ {
-		if syndrome[r] {
-			s.Set(r, true)
-		}
-	}
-	sol, ok := gf2.Solve(perm, s)
-	if !ok {
-		// The syndrome is outside the column space (should not happen for
-		// a complete error model); return the BP hard decision.
-		for v := 0; v < nv; v++ {
-			if hard[v] {
-				for _, o := range d.varObs[v] {
-					correction[o] = !correction[o]
-				}
+	// Pivot k stores its reduced column then its combination mask over
+	// pivots 0..k, 2w words in all.
+	piv := 0
+	for _, v := range ord.vars {
+		vec := bp.echelon[2*piv*w : (2*piv+1)*w]
+		comb := bp.echelon[(2*piv+1)*w : (2*piv+2)*w]
+		copy(vec, d.cols[int(v)*w:(int(v)+1)*w])
+		clear(comb)
+		for k := 0; k < piv; k++ {
+			r := bp.pivRow[k]
+			if vec[r/64]>>(r%64)&1 != 0 {
+				xorWords(vec, bp.echelon[2*k*w:(2*k+1)*w])
+				xorWords(comb, bp.echelon[(2*k+1)*w:(2*k+2)*w])
 			}
 		}
-		return correction
-	}
-	for _, newCol := range sol.Support() {
-		v := order[newCol]
-		for _, o := range d.varObs[v] {
-			correction[o] = !correction[o]
+		r := lowestBit(vec)
+		if r < 0 {
+			continue // dependent on the earlier columns
+		}
+		comb[piv/64] ^= 1 << (piv % 64)
+		bp.pivRow[piv], bp.pivVar[piv] = int32(r), v
+		piv++
+		if syn[r/64]>>(r%64)&1 == 0 {
+			continue
+		}
+		xorWords(syn, vec)
+		xorWords(synComb, comb)
+		if lowestBit(syn) < 0 {
+			for k, pv := range bp.pivVar[:piv] {
+				if synComb[k/64]>>(k%64)&1 != 0 {
+					for _, o := range d.varObs[pv] {
+						correction[o] = !correction[o]
+					}
+				}
+			}
+			return true
 		}
 	}
-	return correction
+	// The syndrome is outside the column space (should not happen for a
+	// complete error model); return the BP hard decision.
+	d.applyHard(bp.hard, correction)
+	return false
+}
+
+// osdOrder sorts variables by posterior LLR, most likely error first.
+// It lives in the scratch and is sorted through a pointer, so sort.Sort
+// allocates nothing.
+type osdOrder struct {
+	vars []int32
+	post []float64
+}
+
+func (o *osdOrder) Len() int           { return len(o.vars) }
+func (o *osdOrder) Less(i, j int) bool { return o.post[o.vars[i]] < o.post[o.vars[j]] }
+func (o *osdOrder) Swap(i, j int)      { o.vars[i], o.vars[j] = o.vars[j], o.vars[i] }
+
+// xorWords adds src into dst (equal lengths).
+func xorWords(dst, src []uint64) {
+	for i, x := range src {
+		dst[i] ^= x
+	}
+}
+
+// lowestBit returns the index of the lowest set bit, or -1 when every
+// word is zero.
+func lowestBit(ws []uint64) int {
+	for i, x := range ws {
+		if x != 0 {
+			return i*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
 }

@@ -77,9 +77,7 @@ func diffDecoders(t *testing.T, model *dem.Model, basis css.Basis, isColor bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = append(out, diffDecoder{"bposd", bposd,
-		func(bit func(int) bool) ([]bool, error) { return naiveBPOSDDecode(bposd, bit) }})
-	return out
+	return append(out, bposdDiff(bposd))
 }
 
 // assertSameDecode decodes one shot through both paths and fails on any
@@ -159,11 +157,14 @@ func combinedDetBit(evs ...dem.Event) func(int) bool {
 // case's error model, plus seeded random double faults, through both
 // decode paths and requires bit-identical results. (Decoding success is
 // covered by the correctness tests; here union-find's approximations,
-// for example, must at least be the *same* approximations.)
+// for example, must at least be the *same* approximations.) The cases
+// are independent — each builds its own model, decoders and scratches —
+// so they run as parallel subtests.
 func TestFaultInjectionDifferential(t *testing.T) {
 	for _, cs := range diffCases(t) {
 		cs := cs
 		t.Run(cs.name, func(t *testing.T) {
+			t.Parallel()
 			model, _ := buildModel(t, cs.code, diffOptions, css.Z, diffRounds, 1e-3)
 			decs := diffDecoders(t, model, css.Z, cs.color)
 			for _, dd := range decs {

@@ -652,3 +652,7 @@ func naiveBPOSDDecode(d *BPOSD, detBit func(int) bool) ([]bool, error) {
 	}
 	return correction, nil
 }
+
+// slotRef addresses one Tanner-graph edge of the naive reference:
+// variable v, position k in its row list.
+type slotRef struct{ v, k int }

@@ -210,38 +210,59 @@ type restScratch struct {
 }
 
 // bpScratch is the BP+OSD decoder's arena, shaped by the decoder's
-// Tanner graph (slot-indexed message storage).
+// Tanner graph (check-major message slots) and its row-bitset width.
 type bpScratch struct {
 	syndrome  []bool
-	priorLLR  []float64
-	v2c       []float64 // flattened by variable slot offsets
+	mismatch  []bool    // per row: hard-decision parity differs from the syndrome
+	v2c       []float64 // per message slot, slots in row order
 	c2v       []float64
 	posterior []float64
 	hard      []bool
-	nv        int
-	slots     int
+
+	// OSD-0 state: the reliability order, the column echelon (per pivot,
+	// its reduced column then its pivot-combination mask), each pivot's
+	// row and variable, and the reduced syndrome with its mask.
+	order   osdOrder
+	echelon []uint64
+	pivRow  []int32
+	pivVar  []int32
+	syn     []uint64
 }
 
-func (b *bpScratch) ensure(rows, nv, slots int) {
+func (b *bpScratch) ensure(rows, nv, slots, words int) {
 	if cap(b.syndrome) < rows {
 		b.syndrome = make([]bool, rows)
+		b.mismatch = make([]bool, rows)
+		b.pivRow = make([]int32, rows)
+		b.pivVar = make([]int32, rows)
 	}
 	b.syndrome = b.syndrome[:rows]
-	if cap(b.priorLLR) < nv {
-		b.priorLLR = make([]float64, nv)
+	b.mismatch = b.mismatch[:rows]
+	b.pivRow = b.pivRow[:rows]
+	b.pivVar = b.pivVar[:rows]
+	if cap(b.posterior) < nv {
 		b.posterior = make([]float64, nv)
 		b.hard = make([]bool, nv)
+		b.order.vars = make([]int32, nv)
 	}
-	b.priorLLR = b.priorLLR[:nv]
 	b.posterior = b.posterior[:nv]
 	b.hard = b.hard[:nv]
+	b.order.vars = b.order.vars[:nv]
 	if cap(b.v2c) < slots {
 		b.v2c = make([]float64, slots)
 		b.c2v = make([]float64, slots)
 	}
 	b.v2c = b.v2c[:slots]
 	b.c2v = b.c2v[:slots]
-	b.nv, b.slots = nv, slots
+	// At most one pivot per row: the rank is bounded by the row count.
+	if need := 2 * rows * words; cap(b.echelon) < need {
+		b.echelon = make([]uint64, need)
+	}
+	b.echelon = b.echelon[:2*rows*words]
+	if cap(b.syn) < 2*words {
+		b.syn = make([]uint64, 2*words)
+	}
+	b.syn = b.syn[:2*words]
 }
 
 func growBools(s []bool, n int) []bool {
