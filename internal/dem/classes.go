@@ -35,7 +35,7 @@ func (m *Model) Project(basis css.Basis) []ProjEvent {
 		if len(dets) == 0 && len(ev.Flags) == 0 {
 			continue
 		}
-		key := footprintKey(dets, ev.Flags, ev.Obs)
+		key := string(footprintKey(nil, dets, ev.Flags, ev.Obs))
 		if e, ok := merged[key]; ok {
 			e.P = e.P*(1-ev.P) + ev.P*(1-e.P)
 		} else {
@@ -67,7 +67,7 @@ func BuildClasses(events []ProjEvent) []Class {
 	index := map[string]int{}
 	var classes []Class
 	for _, ev := range events {
-		key := footprintKey(ev.Dets, nil, nil)
+		key := string(footprintKey(nil, ev.Dets, nil, nil))
 		ci, ok := index[key]
 		if !ok {
 			ci = len(classes)

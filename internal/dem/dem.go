@@ -1,8 +1,11 @@
 // Package dem extracts the decoding hypergraph (detector error model)
 // of a noisy circuit: every elementary fault is injected into the
-// deterministic frame simulator and its detector/observable footprint
-// recorded as a hyperedge with syndrome bits σ(e), flag bits f(e),
-// Pauli-frame effects λ(e) and probability π(e) — the structure of §VI-A.
+// deterministic frame simulator (one sim.Injector per extraction, 64
+// faults per pass, one per lane) and its detector/observable footprint,
+// read word-parallel from the pass's result rows, recorded as a
+// hyperedge with syndrome bits σ(e), flag bits f(e), Pauli-frame effects
+// λ(e) and probability π(e) — the structure of §VI-A. Faults with the
+// same footprint merge into one hyperedge.
 // It also implements the paper's error equivalence classes (§VI-B):
 // events are grouped by σ(e), and a flag-conditioned representative is
 // selected per class with the Equation 9 renormalization.
@@ -10,6 +13,7 @@ package dem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/fpn/flagproxy/internal/circuit"
@@ -30,37 +34,54 @@ type Model struct {
 	Events  []Event
 }
 
-// fault is one elementary error mechanism to inject.
+// passFaults is the number of faults injected per simulator pass: one
+// per lane of a 64-lane frame word.
+const passFaults = 64
+
+// fault is one elementary error mechanism in compact form: a Pauli on
+// up to two qubits planted right after op op, or, when meas >= 0, a
+// misread of measurement meas.
 type fault struct {
-	inj sim.Injection
-	p   float64
+	p     float64
+	op    int32
+	meas  int32    // measurement flipped; -1 for a Pauli fault
+	q     [2]int32 // qubits the Pauli acts on
+	pauli [2]uint8 // Pauli index per qubit: 0 = I, 1 = X, 2 = Y, 3 = Z
+}
+
+func pauliFault(op, q, idx int, p float64) fault {
+	return fault{p: p, op: int32(op), meas: -1, q: [2]int32{int32(q)}, pauli: [2]uint8{uint8(idx)}}
 }
 
 // Extract enumerates every fault site of the circuit's noise channels,
-// propagates each through the frame simulator (64 faults per pass), and
-// merges identical footprints.
+// propagates each through the deterministic frame simulator (64 faults
+// per pass, one per lane, on one reused sim.Injector), and merges
+// identical footprints. A pass reads each detector and observable row
+// as one 64-lane word and scatters its set bits into the lanes'
+// footprint lists; visiting rows in ascending order keeps every list
+// sorted.
 func Extract(c *circuit.Circuit) (*Model, error) {
-	var faults []fault
+	x := &extractor{c: c, inj: sim.NewInjector(c, passFaults), merged: map[string]int{}}
 	measBase := 0
 	for oi, op := range c.Ops {
 		switch op.Kind {
 		case circuit.OpPauli1:
 			for _, q := range op.Qubits {
 				if op.PX > 0 {
-					faults = append(faults, fault{sim.Injection{OpIndex: oi, Paulis: []sim.Pauli{{Qubit: q, X: true}}}, op.PX})
+					x.add(pauliFault(oi, q, 1, op.PX))
 				}
 				if op.PY > 0 {
-					faults = append(faults, fault{sim.Injection{OpIndex: oi, Paulis: []sim.Pauli{{Qubit: q, X: true, Z: true}}}, op.PY})
+					x.add(pauliFault(oi, q, 2, op.PY))
 				}
 				if op.PZ > 0 {
-					faults = append(faults, fault{sim.Injection{OpIndex: oi, Paulis: []sim.Pauli{{Qubit: q, Z: true}}}, op.PZ})
+					x.add(pauliFault(oi, q, 3, op.PZ))
 				}
 			}
 		case circuit.OpDepol1:
 			if op.P > 0 {
 				for _, q := range op.Qubits {
 					for idx := 1; idx <= 3; idx++ {
-						faults = append(faults, fault{sim.Injection{OpIndex: oi, Paulis: pauliFromIndex(q, idx)}, op.P / 3})
+						x.add(pauliFault(oi, q, idx, op.P/3))
 					}
 				}
 			}
@@ -68,23 +89,21 @@ func Extract(c *circuit.Circuit) (*Model, error) {
 			if op.P > 0 {
 				for _, pr := range op.Pairs {
 					for k := 1; k <= 15; k++ {
-						var ps []sim.Pauli
-						ps = append(ps, pauliFromIndex(pr[0], k/4)...)
-						ps = append(ps, pauliFromIndex(pr[1], k%4)...)
-						faults = append(faults, fault{sim.Injection{OpIndex: oi, Paulis: ps}, op.P / 15})
+						x.add(fault{p: op.P / 15, op: int32(oi), meas: -1,
+							q: [2]int32{int32(pr[0]), int32(pr[1])}, pauli: [2]uint8{uint8(k / 4), uint8(k % 4)}})
 					}
 				}
 			}
 		case circuit.OpXFlip:
 			if op.P > 0 {
 				for _, q := range op.Qubits {
-					faults = append(faults, fault{sim.Injection{OpIndex: oi, Paulis: []sim.Pauli{{Qubit: q, X: true}}}, op.P})
+					x.add(pauliFault(oi, q, 1, op.P))
 				}
 			}
 		case circuit.OpMR, circuit.OpM:
 			if op.FlipProb > 0 {
 				for i := range op.Qubits {
-					faults = append(faults, fault{sim.Injection{IsMeasFlip: true, FlipMeas: measBase + i}, op.FlipProb})
+					x.add(fault{p: op.FlipProb, op: int32(oi), meas: int32(measBase + i)})
 				}
 			}
 		}
@@ -92,76 +111,135 @@ func Extract(c *circuit.Circuit) (*Model, error) {
 			measBase += len(op.Qubits)
 		}
 	}
-	merged := map[string]*Event{}
-	for start := 0; start < len(faults); start += 64 {
-		end := start + 64
-		if end > len(faults) {
-			end = len(faults)
-		}
-		batch := faults[start:end]
-		inj := make([]sim.Injection, len(batch))
-		for i, f := range batch {
-			inj[i] = f.inj
-			inj[i].Lane = i
-		}
-		res := sim.RunDeterministic(c, len(batch), inj)
-		for i, f := range batch {
-			var dets, flags, obs []int
-			for d := range c.Detectors {
-				if res.DetectorBit(d, i) {
-					if c.Detectors[d].IsFlag {
-						flags = append(flags, d)
-					} else {
-						dets = append(dets, d)
-					}
-				}
-			}
-			for o := range c.Observables {
-				if res.ObservableBit(o, i) {
-					obs = append(obs, o)
-				}
-			}
-			if len(dets) == 0 && len(flags) == 0 {
-				if len(obs) > 0 {
-					return nil, fmt.Errorf("dem: undetectable fault flips an observable (distance 1 circuit)")
-				}
-				continue
-			}
-			key := footprintKey(dets, flags, obs)
-			if ev, ok := merged[key]; ok {
-				ev.P = ev.P*(1-f.p) + f.p*(1-ev.P)
-			} else {
-				merged[key] = &Event{Dets: dets, Flags: flags, Obs: obs, P: f.p}
-			}
-		}
+	x.flush()
+	if x.err != nil {
+		return nil, x.err
 	}
-	m := &Model{Circuit: c}
-	keys := make([]string, 0, len(merged))
-	//fpnvet:orderless collect-then-sort: keys are sorted before emission
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		m.Events = append(m.Events, *merged[k])
-	}
-	return m, nil
+	sort.Sort(byKey{x.keys, x.events})
+	return &Model{Circuit: c, Events: x.events}, nil
 }
 
-func pauliFromIndex(q, idx int) []sim.Pauli {
-	switch idx {
-	case 1:
-		return []sim.Pauli{{Qubit: q, X: true}}
-	case 2:
-		return []sim.Pauli{{Qubit: q, X: true, Z: true}}
-	case 3:
-		return []sim.Pauli{{Qubit: q, Z: true}}
-	}
-	return nil
+// extractor is the state of one Extract call: the injector, the pass
+// being filled, the per-lane footprint lists and the merge table, all
+// reused from pass to pass.
+type extractor struct {
+	c     *circuit.Circuit
+	inj   *sim.Injector
+	batch [passFaults]fault // the pass being filled: batch[:n]
+	n     int
+	// lanes and paulis hold the pass's injections; every Paulis slice
+	// points into paulis (at most two entries per fault).
+	lanes  [passFaults]sim.Injection
+	paulis [2 * passFaults]sim.Pauli
+	// dets, flags and obs are the footprint lists of each lane.
+	dets, flags, obs [passFaults][]int
+	key              []byte
+	merged           map[string]int // footprint key → index into events
+	keys             []string       // keys[i] is the footprint key of events[i]
+	events           []Event
+	err              error
 }
 
-func footprintKey(dets, flags, obs []int) string {
-	b := make([]byte, 0, 4*(len(dets)+len(flags)+len(obs))+3)
+// add queues a fault, running the pass once it holds passFaults.
+func (x *extractor) add(f fault) {
+	x.batch[x.n] = f
+	x.n++
+	if x.n == passFaults {
+		x.flush()
+	}
+}
+
+// flush injects the queued faults, one per lane, and merges their
+// footprints. After the first undetectable logical fault it only
+// discards passes: Extract reports that error and nothing else.
+func (x *extractor) flush() {
+	n := x.n
+	x.n = 0
+	if n == 0 || x.err != nil {
+		return
+	}
+	batch := x.batch[:n]
+	ps := x.paulis[:0]
+	for l, f := range batch {
+		if f.meas >= 0 {
+			x.lanes[l] = sim.Injection{Lane: l, IsMeasFlip: true, FlipMeas: int(f.meas)}
+			continue
+		}
+		start := len(ps)
+		for k, idx := range f.pauli {
+			if idx != 0 {
+				ps = append(ps, sim.Pauli{Qubit: int(f.q[k]), X: idx != 3, Z: idx != 1})
+			}
+		}
+		x.lanes[l] = sim.Injection{OpIndex: int(f.op), Lane: l, Paulis: ps[start:len(ps):len(ps)]}
+	}
+	res := x.inj.Run(n, x.lanes[:n])
+	for l := 0; l < n; l++ {
+		x.dets[l], x.flags[l], x.obs[l] = x.dets[l][:0], x.flags[l][:0], x.obs[l][:0]
+	}
+	for d := range x.c.Detectors {
+		lists := &x.dets
+		if x.c.Detectors[d].IsFlag {
+			lists = &x.flags
+		}
+		for w := res.DetectorWord(d, 0); w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			lists[l] = append(lists[l], d)
+		}
+	}
+	for o := range x.c.Observables {
+		for w := res.ObservableWord(o, 0); w != 0; w &= w - 1 {
+			l := bits.TrailingZeros64(w)
+			x.obs[l] = append(x.obs[l], o)
+		}
+	}
+	for l, f := range batch {
+		dets, flags, obs := x.dets[l], x.flags[l], x.obs[l]
+		if len(dets) == 0 && len(flags) == 0 {
+			if len(obs) > 0 {
+				x.err = fmt.Errorf("dem: undetectable fault flips an observable (distance 1 circuit)")
+				return
+			}
+			continue
+		}
+		x.key = footprintKey(x.key[:0], dets, flags, obs)
+		if i, ok := x.merged[string(x.key)]; ok {
+			ev := &x.events[i]
+			ev.P = ev.P*(1-f.p) + f.p*(1-ev.P)
+			continue
+		}
+		k := string(x.key)
+		x.merged[k] = len(x.events)
+		x.keys = append(x.keys, k)
+		x.events = append(x.events, Event{Dets: cloneInts(dets), Flags: cloneInts(flags), Obs: cloneInts(obs), P: f.p})
+	}
+}
+
+// cloneInts copies s, keeping an empty list nil.
+func cloneInts(s []int) []int {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]int(nil), s...)
+}
+
+// byKey sorts events by their footprint keys.
+type byKey struct {
+	keys   []string
+	events []Event
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.events[i], b.events[j] = b.events[j], b.events[i]
+}
+
+// footprintKey appends the merge key of a footprint to b: each index as
+// 4 little-endian bytes, the three lists separated by '|'. Events are
+// emitted in the byte order of these keys.
+func footprintKey(b []byte, dets, flags, obs []int) []byte {
 	for _, d := range dets {
 		b = appendInt(b, d)
 	}
@@ -173,7 +251,7 @@ func footprintKey(dets, flags, obs []int) string {
 	for _, o := range obs {
 		b = appendInt(b, o)
 	}
-	return string(b)
+	return b
 }
 
 func appendInt(b []byte, v int) []byte {

@@ -11,12 +11,11 @@ import (
 	"github.com/fpn/flagproxy/internal/fpn"
 	"github.com/fpn/flagproxy/internal/group"
 	"github.com/fpn/flagproxy/internal/noise"
-	"github.com/fpn/flagproxy/internal/schedule"
 	"github.com/fpn/flagproxy/internal/surface"
 	"github.com/fpn/flagproxy/internal/tiling"
 )
 
-func hyper55(t *testing.T) *css.Code {
+func hyper55(t testing.TB) *css.Code {
 	t.Helper()
 	g, err := group.Alt(5)
 	if err != nil {
@@ -42,23 +41,11 @@ func hyper55(t *testing.T) *css.Code {
 
 func memCircuit(t *testing.T, code *css.Code, opt fpn.Options, rounds int, p float64) *circuit.Circuit {
 	t.Helper()
-	net, err := fpn.Build(code, opt)
+	plan, err := greedyPlan(code, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := schedule.Greedy(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := schedule.BuildRoundPlan(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: plan, Basis: css.Z, Rounds: rounds, Noise: &noise.Model{P: p}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return memory(t, plan, css.Z, rounds, &noise.Model{P: p})
 }
 
 func TestExtractTinyCircuit(t *testing.T) {

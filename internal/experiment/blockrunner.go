@@ -43,15 +43,15 @@ type BlockRunner struct {
 // to the caller (the fabric coordinator), and per-block counts are
 // deterministic regardless of them.
 func (pl *Pipeline) NewBlockRunner(cfg Config) (*BlockRunner, error) {
-	cfg, c, dec, _, err := pl.buildTail(cfg)
+	tl, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &BlockRunner{
-		cfg:   cfg,
-		c:     c,
-		pool:  NewDecoderPool(dec),
-		total: (cfg.Shots + blockShots - 1) / blockShots,
+		cfg:   tl.cfg,
+		c:     tl.c,
+		pool:  NewDecoderPool(tl.dec),
+		total: (tl.cfg.Shots + blockShots - 1) / blockShots,
 	}, nil
 }
 

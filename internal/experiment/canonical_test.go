@@ -3,8 +3,11 @@ package experiment
 import (
 	"testing"
 
+	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/fpn"
+	"github.com/fpn/flagproxy/internal/noise"
 	"github.com/fpn/flagproxy/internal/schedule"
 	"github.com/fpn/flagproxy/internal/surface"
 )
@@ -36,6 +39,42 @@ func TestCanonicalRotatedIsFaultTolerant(t *testing.T) {
 	if rep.DeffLowerBound != 3 {
 		t.Fatalf("canonical schedule not fault tolerant: %d failures", rep.SingleFailures)
 	}
+	// The report must describe the canonical circuit, not the greedy
+	// one MeasureDeff once built whatever Config.Schedule said.
+	canonical := relevantFaults(t, s)
+	greedy, err := schedule.Greedy(s.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := relevantFaults(t, greedy); rep.Faults != canonical || canonical == g {
+		t.Fatalf("report has %d faults; the canonical circuit has %d and the greedy one %d", rep.Faults, canonical, g)
+	}
+}
+
+// relevantFaults counts the Z-relevant single-fault events of the d=3
+// memory circuit (3 rounds, p=1e-3) under schedule s, the set
+// MeasureDeff tests exhaustively.
+func relevantFaults(t *testing.T, s *schedule.Schedule) int {
+	t.Helper()
+	plan, err := schedule.BuildRoundPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: plan, Basis: css.Z, Rounds: 3, Noise: &noise.Model{P: 1e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := dem.Extract(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ev := range model.Events {
+		if eventRelevant(c, ev, css.Z) {
+			n++
+		}
+	}
+	return n
 }
 
 // Compare: the greedy schedule on the same code may or may not be

@@ -169,6 +169,15 @@ func NewPipelineFromSchedule(code *css.Code, s *schedule.Schedule) (*Pipeline, e
 	return &Pipeline{Code: code, Net: s.Net, Sched: s, Plan: plan}, nil
 }
 
+// newPipelineFor builds the pipeline cfg names: cfg.Schedule when set,
+// otherwise the greedy schedule of cfg.Code on cfg.Arch.
+func newPipelineFor(cfg Config) (*Pipeline, error) {
+	if cfg.Schedule != nil {
+		return NewPipelineFromSchedule(cfg.Code, cfg.Schedule)
+	}
+	return NewPipeline(cfg.Code, cfg.Arch)
+}
+
 // Run executes the p-dependent tail of the pipeline — circuit, detector
 // error model, decoder — and samples cfg.Shots shots with the sharded
 // engine. cfg.Code, cfg.Arch and cfg.Schedule are ignored in favor of
@@ -182,11 +191,12 @@ func (pl *Pipeline) Run(cfg Config) (*Result, error) {
 // as a partial Result with Interrupted set — a valid Resume point —
 // rather than an error.
 func (pl *Pipeline) RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg, c, dec, mk, err := pl.buildTail(cfg)
+	tl, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := runEngine(ctx, c, dec, mk, cfg)
+	cfg = tl.cfg
+	out := runEngine(ctx, tl.c, tl.dec, tl.mk, cfg)
 	ber := 0.0
 	if out.shots > 0 {
 		ber = float64(out.errs) / float64(out.shots)
@@ -214,16 +224,27 @@ func (pl *Pipeline) RunContext(ctx context.Context, cfg Config) (*Result, error)
 	}, nil
 }
 
+// tail is the p-dependent part of a point's stack, built by buildTail.
+type tail struct {
+	cfg   Config // the input with its defaults normalized
+	c     *circuit.Circuit
+	model *dem.Model
+	dec   Decoder
+	mk    func(DecoderKind) (Decoder, error) // lazy fallback-decoder factory
+}
+
 // buildTail validates cfg, normalizes its defaults (Rounds, pipeline
 // artifacts) and constructs the p-dependent tail: the noisy circuit,
-// the primary decoder, and the lazy fallback-decoder factory. It is
-// shared by RunContext and NewBlockRunner so the distributed fabric's
-// workers decode through exactly the production stack.
-func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, func(DecoderKind) (Decoder, error), error) {
+// its detector error model, the primary decoder, and the lazy
+// fallback-decoder factory. It is shared by RunContext, NewBlockRunner,
+// NewOnline and MeasureDeff, so the distributed fabric's workers, the
+// decode service and the effective-distance probe all decode through
+// exactly the production stack.
+func (pl *Pipeline) buildTail(cfg Config) (*tail, error) {
 	cfg.Code = pl.Code
 	cfg.Schedule = pl.Sched
 	if err := validate(cfg); err != nil {
-		return cfg, nil, nil, nil, err
+		return nil, err
 	}
 	if cfg.CodeCapacity {
 		cfg.Rounds = 1
@@ -234,7 +255,7 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 			cfg.Rounds = cfg.Code.DZ
 		}
 		if cfg.Rounds < 1 {
-			return cfg, nil, nil, nil, fmt.Errorf("experiment: code has no distance metadata; set Rounds")
+			return nil, fmt.Errorf("experiment: code has no distance metadata; set Rounds")
 		}
 	}
 	nm := &noise.Model{P: cfg.P, FixedIdle: cfg.FixedIdle}
@@ -246,15 +267,15 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 		c, err = circuit.BuildMemory(circuit.MemorySpec{Plan: pl.Plan, Basis: cfg.Basis, Rounds: cfg.Rounds, Noise: nm})
 	}
 	if err != nil {
-		return cfg, nil, nil, nil, err
+		return nil, err
 	}
 	model, err := dem.Extract(c)
 	if err != nil {
-		return cfg, nil, nil, nil, err
+		return nil, err
 	}
 	dec, err := newDecoder(cfg.Decoder, model, cfg.Basis, nm.MeasFlip())
 	if err != nil {
-		return cfg, nil, nil, nil, err
+		return nil, err
 	}
 	// The batch lift happens before WrapDecoder so the chaos harness
 	// sees (and may fault-inject) the actual production decoder; a
@@ -281,7 +302,7 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 		}
 		return d, nil
 	}
-	return cfg, c, dec, mk, nil
+	return &tail{cfg: cfg, c: c, model: model, dec: dec, mk: mk}, nil
 }
 
 // validate rejects configurations that would previously have poisoned a
@@ -836,13 +857,7 @@ func (sw *Sweep) pipeline(cfg Config) (*Pipeline, error) {
 	if pl, ok := sw.pipes[key]; ok {
 		return pl, nil
 	}
-	var pl *Pipeline
-	var err error
-	if cfg.Schedule != nil {
-		pl, err = NewPipelineFromSchedule(cfg.Code, cfg.Schedule)
-	} else {
-		pl, err = NewPipeline(cfg.Code, cfg.Arch)
-	}
+	pl, err := newPipelineFor(cfg)
 	if err != nil {
 		return nil, err
 	}

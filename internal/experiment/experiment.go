@@ -201,13 +201,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	var pl *Pipeline
-	var err error
-	if cfg.Schedule != nil {
-		pl, err = NewPipelineFromSchedule(cfg.Code, cfg.Schedule)
-	} else {
-		pl, err = NewPipeline(cfg.Code, cfg.Arch)
-	}
+	pl, err := newPipelineFor(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -37,11 +37,11 @@ func (pl *Pipeline) NewOnline(cfg Config) (*Online, error) {
 	if cfg.Shots <= 0 {
 		cfg.Shots = 1
 	}
-	cfg, c, dec, mk, err := pl.buildTail(cfg)
+	tl, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Online{cfg: cfg, c: c, pool: NewDecoderPool(dec), mk: mk}, nil
+	return &Online{cfg: tl.cfg, c: tl.c, pool: NewDecoderPool(tl.dec), mk: tl.mk}, nil
 }
 
 // Circuit returns the noisy memory circuit the decoder was extracted

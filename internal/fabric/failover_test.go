@@ -541,11 +541,12 @@ func TestNetFaultPlansIdentity(t *testing.T) {
 	}
 	for _, p := range plans {
 		t.Run(p.name, func(t *testing.T) {
-			res := runFabric(t, cfg, 2, fabric.Options{}, func(i int) fabric.WorkerOptions {
-				if i == 0 {
-					return fabric.WorkerOptions{Client: &http.Client{Transport: p.fault, Timeout: 30 * time.Second}}
-				}
-				return fabric.WorkerOptions{}
+			// Both workers share the faulty transport: a plan scoped to
+			// one request path (reset on /v1/complete) would attack nothing
+			// if the other worker happened to take every shard.
+			client := &http.Client{Transport: p.fault, Timeout: 30 * time.Second}
+			res := runFabric(t, cfg, 2, fabric.Options{}, func(int) fabric.WorkerOptions {
+				return fabric.WorkerOptions{Client: client}
 			})
 			if p.hit(p.fault) == 0 {
 				t.Errorf("%s plan attacked nothing; the test is vacuous", p.name)

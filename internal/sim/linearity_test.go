@@ -39,7 +39,7 @@ func TestPropertyFrameLinearity(t *testing.T) {
 		a2, b2 := fa, fb
 		a2.Lane, b2.Lane = 2, 2
 		inj = append(inj, a0, b1, a2, b2)
-		res := RunDeterministic(c, 3, inj)
+		res := NewInjector(c, 3).Run(3, inj)
 		for d := range c.Detectors {
 			want := res.DetectorBit(d, 0) != res.DetectorBit(d, 1)
 			if res.DetectorBit(d, 2) != want {

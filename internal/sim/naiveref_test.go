@@ -93,7 +93,7 @@ func blockFrameSim(c *circuit.Circuit, firstBlock, shots int, base int64) *frame
 // reset changes nothing.
 func refSample(fs *frameSim) *Result {
 	for oi, op := range fs.c.Ops {
-		fs.apply(oi, op, false, nil)
+		fs.apply(oi, op, false)
 		refNoise(fs, oi, op)
 	}
 	return fs.result()
@@ -150,4 +150,33 @@ func refNoise(fs *frameSim, opIndex int, op circuit.Op) {
 			refForEachLane(fs, op.P, func(l int) { setBit(fs.fx[q], l) })
 		}
 	}
+}
+
+// refRunDeterministic is the old RunDeterministic: a fresh simulator
+// that executes every op from the first, plants each Pauli injection
+// right after its op and each measurement flip after the whole circuit.
+func refRunDeterministic(c *circuit.Circuit, shots int, inj []Injection) *Result {
+	fs := newFrames(c, shots)
+	for oi, op := range c.Ops {
+		fs.apply(oi, op, false)
+		for _, in := range inj {
+			if in.IsMeasFlip || in.OpIndex != oi {
+				continue
+			}
+			for _, p := range in.Paulis {
+				if p.X {
+					setBit(fs.fx[p.Qubit], in.Lane)
+				}
+				if p.Z {
+					setBit(fs.fz[p.Qubit], in.Lane)
+				}
+			}
+		}
+	}
+	for _, in := range inj {
+		if in.IsMeasFlip {
+			setBit(fs.meas[in.FlipMeas], in.Lane)
+		}
+	}
+	return fs.result()
 }

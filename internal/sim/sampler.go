@@ -49,7 +49,7 @@ func (s *Sampler) Run(shots int, seed int64) *Result {
 	}
 	s.fs.reset(shots, seed)
 	for oi, op := range s.fs.c.Ops {
-		s.fs.apply(oi, op, true, nil)
+		s.fs.apply(oi, op, true)
 	}
 	s.fs.resultInto(&s.res)
 	return &s.res
@@ -112,7 +112,7 @@ func (s *BlockSampler) Run(firstBlock, shots int, base int64) *Result {
 		s.fs.wordSrcs[wi].Seed(seedmix.Derive(base, uint64(firstBlock+wi)))
 	}
 	for oi, op := range s.fs.c.Ops {
-		s.fs.apply(oi, op, true, nil)
+		s.fs.apply(oi, op, true)
 	}
 	s.fs.resultInto(&s.res)
 	return &s.res

@@ -2,8 +2,9 @@
 // propagates X/Z error frames through Clifford circuits with 64 shots
 // bit-packed per machine word, samples the paper's noise channels with
 // geometric skip-sampling, and reads out detector and observable flips.
-// A deterministic injection mode drives the detector-error-model
-// extraction in package dem.
+// Injector, the deterministic mode, runs a circuit noiselessly with
+// planted faults on reused buffers; it drives the detector-error-model
+// extraction in package dem, 64 faults (one per lane) per run.
 package sim
 
 import (
@@ -58,25 +59,6 @@ func (r *Result) DetectorWord(d, w int) uint64 { return r.Detectors[d][w] }
 // ObservableWord returns the 64-lane word w of observable o's row, with
 // the same tail-lane guarantee as DetectorWord.
 func (r *Result) ObservableWord(o, w int) uint64 { return r.Observables[o][w] }
-
-// Pauli is a sparse Pauli operator used for deterministic injection.
-type Pauli struct {
-	Qubit int
-	X, Z  bool
-}
-
-// Injection plants a Pauli error (or measurement flip) in a given lane
-// immediately after op OpIndex executes.
-type Injection struct {
-	OpIndex int
-	Lane    int
-	Paulis  []Pauli
-	// IsMeasFlip flips measurement record FlipMeas instead of injecting a
-	// Pauli (used for misread faults). The flip is applied after the
-	// whole circuit runs, so it cannot be clobbered by the measurement.
-	IsMeasFlip bool
-	FlipMeas   int
-}
 
 type frameSim struct {
 	c        *circuit.Circuit
@@ -170,39 +152,26 @@ func Run(c *circuit.Circuit, shots int, seed int64) *Result {
 	fs := newFrameSim(c, shots, seed)
 	fs.noise = noiseTable(c)
 	for oi, op := range c.Ops {
-		fs.apply(oi, op, true, nil)
+		fs.apply(oi, op, true)
 	}
 	return fs.result()
 }
 
-// RunDeterministic executes the circuit with all noise channels disabled
-// and the given faults injected; lane l of the result reflects exactly
-// the faults with Lane == l.
-func RunDeterministic(c *circuit.Circuit, shots int, inj []Injection) *Result {
-	fs := newFrameSim(c, shots, 0)
-	byOp := map[int][]Injection{}
-	var measFlips []Injection
-	for _, in := range inj {
-		if in.IsMeasFlip {
-			measFlips = append(measFlips, in)
-			continue
-		}
-		byOp[in.OpIndex] = append(byOp[in.OpIndex], in)
-	}
-	for oi, op := range c.Ops {
-		fs.apply(oi, op, false, byOp[oi])
-	}
-	for _, in := range measFlips {
-		setBit(fs.meas[in.FlipMeas], in.Lane)
-	}
-	return fs.result()
-}
-
+// newFrameSim builds a sampling simulator: zeroed frames for shots
+// lanes and a run-wide RNG seeded seed.
 func newFrameSim(c *circuit.Circuit, shots int, seed int64) *frameSim {
-	words := (shots + 63) / 64
-	src := rand.NewSource(seed)
-	fs := &frameSim{c: c, words: words, capWords: words, shots: shots, src: src, rng: rand.New(src)}
+	fs := newFrames(c, shots)
+	fs.src = rand.NewSource(seed)
+	fs.rng = rand.New(fs.src)
 	fs.cur = fs.rng
+	return fs
+}
+
+// newFrames allocates zeroed frame and measurement rows for shots lanes
+// and no RNG: the deterministic (injection) simulator.
+func newFrames(c *circuit.Circuit, shots int) *frameSim {
+	words := (shots + 63) / 64
+	fs := &frameSim{c: c, words: words, capWords: words, shots: shots}
 	fs.fx = make([][]uint64, c.NumQubits)
 	fs.fz = make([][]uint64, c.NumQubits)
 	for q := range fs.fx {
@@ -219,13 +188,18 @@ func newFrameSim(c *circuit.Circuit, shots int, seed int64) *frameSim {
 // reset rewinds the simulator for a fresh run of shots lanes (at most
 // the allocated capacity) with a new RNG seed, reusing every buffer.
 func (fs *frameSim) reset(shots int, seed int64) {
+	fs.clearFrames(shots)
+	fs.src.Seed(seed)
+}
+
+// clearFrames zeroes every frame row and sizes the run to shots lanes.
+func (fs *frameSim) clearFrames(shots int) {
 	fs.shots = shots
 	fs.words = (shots + 63) / 64
 	for q := range fs.fx {
 		clear(fs.fx[q])
 		clear(fs.fz[q])
 	}
-	fs.src.Seed(seed)
 }
 
 func (fs *frameSim) result() *Result {
@@ -360,7 +334,10 @@ func geomScan(rng *rand.Rand, u, logq float64, lo, hi int, f func(lane int)) {
 
 func setBit(row []uint64, lane int) { row[lane/64] ^= 1 << (uint(lane) % 64) }
 
-func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injection) {
+// apply executes op: its Clifford action and, when noisy, its noise
+// channels. Deterministic mode (noisy false) plants no fault here; the
+// Injector does that between ops.
+func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool) {
 	var nz *opNoise
 	if noisy {
 		nz = &fs.noise[opIndex]
@@ -445,17 +422,6 @@ func (fs *frameSim) apply(opIndex int, op circuit.Op, noisy bool, inj []Injectio
 		if noisy {
 			for _, q := range op.Qubits {
 				fs.forEachLane(&nz.p, func(l int) { setBit(fs.fx[q], l) })
-			}
-		}
-	}
-	// Deterministic injections occur after the op's own action.
-	for _, in := range inj {
-		for _, p := range in.Paulis {
-			if p.X {
-				setBit(fs.fx[p.Qubit], in.Lane)
-			}
-			if p.Z {
-				setBit(fs.fz[p.Qubit], in.Lane)
 			}
 		}
 	}

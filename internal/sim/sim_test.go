@@ -136,7 +136,7 @@ func TestInjectedMeasurementFlip(t *testing.T) {
 	if target < 0 {
 		t.Fatal("no round-1 Z detector")
 	}
-	res := RunDeterministic(c, 64, []Injection{{Lane: 0, IsMeasFlip: true, FlipMeas: target}})
+	res := NewInjector(c, 64).Run(64, []Injection{{Lane: 0, IsMeasFlip: true, FlipMeas: target}})
 	fired := 0
 	for d := range c.Detectors {
 		if res.DetectorBit(d, 0) {
@@ -172,7 +172,7 @@ func contains(s []int, v int) bool {
 func TestInjectedDataError(t *testing.T) {
 	code := steane(t)
 	c := memoryCircuit(t, code, fpn.Options{}, css.Z, 2, nil)
-	res := RunDeterministic(c, 64, []Injection{{OpIndex: 0, Lane: 3, Paulis: []Pauli{{Qubit: 0, X: true}}}})
+	res := NewInjector(c, 64).Run(64, []Injection{{OpIndex: 0, Lane: 3, Paulis: []Pauli{{Qubit: 0, X: true}}}})
 	var fired []circuit.Detector
 	for d := range c.Detectors {
 		if res.DetectorBit(d, 3) {
@@ -269,7 +269,7 @@ func TestCNOTFramePropagation(t *testing.T) {
 	c2.Detectors = append(c2.Detectors,
 		circuit.Detector{Meas: []int{0}},
 		circuit.Detector{Meas: []int{1}})
-	res := RunDeterministic(c2, 64, []Injection{{OpIndex: 0, Lane: 0, Paulis: []Pauli{{Qubit: 0, X: true}}}})
+	res := NewInjector(c2, 64).Run(64, []Injection{{OpIndex: 0, Lane: 0, Paulis: []Pauli{{Qubit: 0, X: true}}}})
 	if !res.DetectorBit(0, 0) || !res.DetectorBit(1, 0) {
 		t.Fatal("X on control should flip both Z measurements after CNOT")
 	}
@@ -287,7 +287,7 @@ func TestClosedCodeEvenSyndromeFlips(t *testing.T) {
 		q := rng.Intn(code.N) // data qubits only: ids 0..N-1
 		inj = append(inj, Injection{OpIndex: 0, Lane: lane, Paulis: []Pauli{{Qubit: q, X: true}}})
 	}
-	res := RunDeterministic(c, 64, inj)
+	res := NewInjector(c, 64).Run(64, inj)
 	for lane := 0; lane < 64; lane++ {
 		count := 0
 		for d := range c.Detectors {
